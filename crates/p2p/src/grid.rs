@@ -1,180 +1,129 @@
-//! Uniform-grid neighbor discovery with incremental maintenance.
+//! Uniform-grid neighbor discovery, rebuilt from scratch on every refresh.
 //!
-//! The grid survives across epochs: [`NeighborGrid::refresh_active`]
-//! re-bins only the hosts whose cell (or online flag) changed since the
-//! last refresh, against retained buffers — no per-epoch clone of the
-//! position column and no from-scratch rebuild. Member lists are kept
-//! sorted by host id, which makes an incrementally-maintained grid
-//! *enumerate neighbors in exactly the order* a full
-//! [`NeighborGrid::build_active`] would: the full rebuild inserts hosts
-//! in increasing id order, so per-cell lists come out id-sorted either
-//! way. That ordering invariant is what keeps the simulator's reports
-//! bit-identical whichever maintenance path produced the grid (the
-//! debug-assert oracle in `refresh_active` checks it on every refresh).
+//! The grid is a flat CSR bucket layout: one `members` array holds every
+//! indexed host id grouped by cell, and `starts[c]..starts[c + 1]`
+//! delimits cell `c`. [`NeighborGrid::refresh_active`] rebuilds it with a
+//! counting sort over retained buffers — per-host cell index, per-cell
+//! counts, prefix sum, then a scatter of host ids in increasing id order.
+//! Freely moving hosts change cell all the time (at fleet scale most of
+//! them do every epoch), so a full rebuild is cheaper than maintaining
+//! the buckets incrementally, and there is nothing to keep in sync: the
+//! refresh *is* the full build.
+//!
+//! Scattering in id order leaves every cell's member list id-sorted by
+//! construction. With absolute floor keys and a fixed dx-outer /
+//! dy-inner ring walk, that pins the order in which
+//! [`NeighborGrid::neighbors_within`] enumerates hosts, which keeps the
+//! simulator's peer-reply order — and so its reports — bit-identical
+//! however the grid was produced.
 
 use airshare_geom::{Point, Rect};
-use std::collections::HashMap;
 
-/// Sentinel cell for hosts that are not indexed (offline, or not yet
-/// refreshed in).
-const NOT_INDEXED: (i64, i64) = (i64::MIN, i64::MIN);
+/// `cell_of` entry for hosts that are not indexed (offline, or at a
+/// non-finite position).
+const NOT_INDEXED: u32 = u32::MAX;
 
-/// Dense storage is used while the extent stays under this many cells
-/// per host (with a floor for small fleets); past it the grid falls
-/// back to a sparse hash map, trading lookup speed for bounded memory.
-fn dense_cell_cap(hosts: usize) -> i128 {
-    (8 * hosts.max(8_192)) as i128
+/// Most cells a grid over `hosts` hosts allocates: 8 per host, with a
+/// floor for small fleets. Extents that would need more coarsen the cell
+/// instead (see [`Layout::fit`]).
+fn cell_cap(hosts: usize) -> i128 {
+    (8 * hosts.max(8_192) as i128).min(NOT_INDEXED as i128 - 1)
+}
+
+/// The grid's fixed extent: a `nx × ny` block of square cells of side
+/// `cell` whose lowest cell has absolute key `base`.
+#[derive(Clone, Copy, Debug)]
+struct Layout {
+    cell: f64,
+    base: (i64, i64),
+    nx: i64,
+    ny: i64,
+}
+
+impl Layout {
+    /// The layout covering `bounds` with cells of side `cell`, or of the
+    /// smallest power-of-two multiple of it that keeps the cell count
+    /// within [`cell_cap`] — a degenerate cell size (say a zero
+    /// transmission range) coarsens the grid rather than exploding it.
+    fn fit(bounds: &Rect, cell: f64, hosts: usize) -> Self {
+        assert!(cell > 0.0 && cell.is_finite(), "cell size must be positive");
+        let cap = cell_cap(hosts);
+        let mut cell = cell;
+        loop {
+            let lo = key(Point::new(bounds.x1, bounds.y1), cell);
+            let hi = key(Point::new(bounds.x2, bounds.y2), cell);
+            let nx = (hi.0 as i128 - lo.0 as i128 + 1).max(1);
+            let ny = (hi.1 as i128 - lo.1 as i128 + 1).max(1);
+            if nx * ny <= cap {
+                return Layout {
+                    cell,
+                    base: lo,
+                    nx: nx as i64,
+                    ny: ny as i64,
+                };
+            }
+            cell *= 2.0;
+        }
+    }
+
+    fn cells(&self) -> usize {
+        (self.nx * self.ny) as usize
+    }
+
+    /// Column and row of `p`'s cell, clamped into the extent. Clamping
+    /// is a per-axis contraction — it never moves two keys further
+    /// apart — so hosts within the ring reach of a query stay within it,
+    /// and the ring search is exact for points outside the extent too.
+    fn cell_xy(&self, p: Point) -> (i64, i64) {
+        let (kx, ky) = key(p, self.cell);
+        (
+            kx.saturating_sub(self.base.0).clamp(0, self.nx - 1),
+            ky.saturating_sub(self.base.1).clamp(0, self.ny - 1),
+        )
+    }
+
+    /// Flat index of cell `(x, y)`. Column-major, so one column's cells
+    /// — the ring walk's inner dy loop — are adjacent in the CSR arrays.
+    fn index(&self, x: i64, y: i64) -> usize {
+        (x * self.ny + y) as usize
+    }
+}
+
+/// Absolute cell key of `p`: per-axis floors of `p / cell`.
+fn key(p: Point, cell: f64) -> (i64, i64) {
+    ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
 }
 
 /// A spatial hash over host positions.
 ///
-/// Cells are squares of side `cell`; a radius-`r` disk query inspects the
-/// `⌈r/cell⌉`-ring of cells around the query point. Pick `cell` equal to
-/// the maximum transmission range for O(occupants) queries.
+/// Cells are squares of side `cell`; a radius-`r` disk query inspects
+/// the `⌈r/cell⌉`-ring of cells around the query point. Pick `cell`
+/// equal to the maximum transmission range for O(occupants) queries.
 ///
-/// Per-cell member lists are stored in a *counting-sort/bucket* layout:
-/// a dense `Vec` of cells spanning the world's extent (direct indexing,
-/// no hashing on the hot path), with id-sorted members per cell. Inputs
-/// whose extent would need an unreasonable number of cells fall back to
-/// a sparse `HashMap` with identical semantics.
+/// The extent is fixed when the grid is made: the world's bounds for
+/// [`NeighborGrid::with_bounds`], the online hosts' bounding box for
+/// [`NeighborGrid::build_active`]. Hosts outside it are binned into the
+/// nearest edge cell, which keeps every answer exact. Hosts at
+/// non-finite positions are never indexed, so no query returns them.
 #[derive(Clone, Debug)]
 pub struct NeighborGrid {
-    cell: f64,
+    layout: Layout,
     positions: Vec<Point>,
-    /// Each host's current cell, or [`NOT_INDEXED`]. This is the delta
-    /// detector: a refresh re-bins host `i` iff its recomputed cell
-    /// differs from `cell_of[i]`.
-    cell_of: Vec<(i64, i64)>,
-    store: BucketStore,
-}
-
-/// The per-cell member lists behind the grid.
-#[derive(Clone, Debug)]
-enum BucketStore {
-    /// Cells spanning `[base, base + (nx, ny))`, row-major. Lists keep
-    /// their allocations across refreshes.
-    Dense {
-        base: (i64, i64),
-        nx: i64,
-        ny: i64,
-        cells: Vec<Vec<u32>>,
-    },
-    /// Unbounded-extent fallback; stale empty lists are retained so
-    /// their allocations get reused.
-    Sparse(HashMap<(i64, i64), Vec<u32>>),
-}
-
-impl BucketStore {
-    /// An empty store sized for keys in `[min, max]` (inclusive), dense
-    /// when the extent fits the cap for `hosts`.
-    fn with_extent(min: (i64, i64), max: (i64, i64), hosts: usize) -> Self {
-        if min.0 > max.0 || min.1 > max.1 {
-            // No indexed hosts: a zero-extent dense store; any later
-            // insert grows it.
-            return BucketStore::Dense {
-                base: (0, 0),
-                nx: 0,
-                ny: 0,
-                cells: Vec::new(),
-            };
-        }
-        let nx = (max.0 as i128 - min.0 as i128) + 1;
-        let ny = (max.1 as i128 - min.1 as i128) + 1;
-        if nx * ny <= dense_cell_cap(hosts) {
-            let total = (nx * ny) as usize;
-            BucketStore::Dense {
-                base: min,
-                nx: nx as i64,
-                ny: ny as i64,
-                cells: (0..total).map(|_| Vec::new()).collect(),
-            }
-        } else {
-            BucketStore::Sparse(HashMap::new())
-        }
-    }
-
-    /// Whether `key` can be stored without growing the extent.
-    fn in_range(&self, key: (i64, i64)) -> bool {
-        match self {
-            BucketStore::Dense { base, nx, ny, .. } => {
-                let dx = key.0 as i128 - base.0 as i128;
-                let dy = key.1 as i128 - base.1 as i128;
-                dx >= 0 && dx < *nx as i128 && dy >= 0 && dy < *ny as i128
-            }
-            BucketStore::Sparse(_) => true,
-        }
-    }
-
-    /// Members of `key`'s cell, id-sorted; empty when out of range.
-    fn get(&self, key: (i64, i64)) -> &[u32] {
-        match self {
-            BucketStore::Dense { base, nx, ny, cells } => {
-                let dx = key.0 as i128 - base.0 as i128;
-                let dy = key.1 as i128 - base.1 as i128;
-                if dx >= 0 && dx < *nx as i128 && dy >= 0 && dy < *ny as i128 {
-                    &cells[(dy * *nx as i128 + dx) as usize]
-                } else {
-                    &[]
-                }
-            }
-            BucketStore::Sparse(map) => map.get(&key).map_or(&[], Vec::as_slice),
-        }
-    }
-
-    /// The cell behind `key`, which must be in range.
-    fn cell_mut(&mut self, key: (i64, i64)) -> &mut Vec<u32> {
-        match self {
-            BucketStore::Dense { base, nx, cells, .. } => {
-                let dx = key.0 - base.0;
-                let dy = key.1 - base.1;
-                &mut cells[(dy * *nx + dx) as usize]
-            }
-            BucketStore::Sparse(map) => map.entry(key).or_default(),
-        }
-    }
-
-    /// Inserts `host` into `key`'s cell, keeping the list id-sorted.
-    /// The key must be in range.
-    fn insert(&mut self, key: (i64, i64), host: u32) {
-        let v = self.cell_mut(key);
-        match v.binary_search(&host) {
-            Ok(_) => {}
-            Err(at) => v.insert(at, host),
-        }
-    }
-
-    /// Appends `host` to `key`'s cell. Only valid when hosts are pushed
-    /// in increasing id order (the full-rebuild path), which keeps the
-    /// list sorted without a search.
-    fn push_ascending(&mut self, key: (i64, i64), host: u32) {
-        let v = self.cell_mut(key);
-        debug_assert!(v.last().is_none_or(|&last| last < host));
-        v.push(host);
-    }
-
-    /// Removes `host` from `key`'s cell (a no-op if absent).
-    fn remove(&mut self, key: (i64, i64), host: u32) {
-        if !self.in_range(key) {
-            return;
-        }
-        let v = self.cell_mut(key);
-        if let Ok(at) = v.binary_search(&host) {
-            v.remove(at);
-        }
-    }
-
-    /// Empties `key`'s cell, keeping its allocation.
-    fn clear_cell(&mut self, key: (i64, i64)) {
-        if self.in_range(key) {
-            self.cell_mut(key).clear();
-        }
-    }
+    /// Per-host flat cell index from the last rebuild, or
+    /// [`NOT_INDEXED`].
+    cell_of: Vec<u32>,
+    /// CSR offsets: cell `c` holds `members[starts[c]..starts[c + 1]]`.
+    /// One slot longer than that needs; the rebuild's scatter uses it.
+    starts: Vec<u32>,
+    /// Indexed host ids, grouped by cell, id-sorted within each cell.
+    members: Vec<u32>,
 }
 
 impl NeighborGrid {
     /// Builds a grid over host positions (index = host id).
     pub fn build(positions: Vec<Point>, cell: f64) -> Self {
-        Self::build_filtered(positions, cell, |_| true)
+        let online = vec![true; positions.len()];
+        Self::build_active(positions, cell, &online)
     }
 
     /// Builds a grid where only hosts with `online[i] == true` are
@@ -184,56 +133,30 @@ impl NeighborGrid {
     /// a crashed or not-yet-joined host is radio-silent.
     pub fn build_active(positions: Vec<Point>, cell: f64, online: &[bool]) -> Self {
         assert_eq!(positions.len(), online.len(), "one flag per host");
-        Self::build_filtered(positions, cell, |i| online[i])
+        let indexed = positions
+            .iter()
+            .zip(online)
+            .filter(|&(p, &on)| on && p.is_finite())
+            .map(|(p, _)| *p);
+        let bounds = Rect::bounding(indexed).unwrap_or(Rect::from_coords(0.0, 0.0, 0.0, 0.0));
+        let mut grid = Self::with_bounds(&bounds, cell, positions.len());
+        grid.positions = positions;
+        grid.rebuild(online);
+        grid
     }
 
-    fn build_filtered(positions: Vec<Point>, cell: f64, keep: impl Fn(usize) -> bool) -> Self {
-        assert!(cell > 0.0 && cell.is_finite(), "cell size must be positive");
-        assert!(positions.len() < u32::MAX as usize, "host ids must fit u32");
-        let n = positions.len();
-        let mut min = (i64::MAX, i64::MAX);
-        let mut max = (i64::MIN, i64::MIN);
-        let mut cell_of = vec![NOT_INDEXED; n];
-        for (i, p) in positions.iter().enumerate() {
-            if keep(i) {
-                let k = Self::key(*p, cell);
-                min = (min.0.min(k.0), min.1.min(k.1));
-                max = (max.0.max(k.0), max.1.max(k.1));
-                cell_of[i] = k;
-            }
-        }
-        let mut store = BucketStore::with_extent(min, max, n);
-        for (i, &k) in cell_of.iter().enumerate() {
-            if k != NOT_INDEXED {
-                store.push_ascending(k, i as u32);
-            }
-        }
-        Self {
-            cell,
-            positions,
-            cell_of,
-            store,
-        }
-    }
-
-    /// An empty grid pre-sized to `bounds` so refreshes of a
-    /// `hosts`-sized fleet whose positions stay inside `bounds` never
-    /// reallocate the cell array. The first
-    /// [`NeighborGrid::refresh_active`] populates it.
+    /// An empty grid whose extent is `bounds`, with the cell array sized
+    /// for a `hosts`-sized fleet. Each [`NeighborGrid::refresh_active`]
+    /// repopulates it.
     pub fn with_bounds(bounds: &Rect, cell: f64, hosts: usize) -> Self {
-        assert!(cell > 0.0 && cell.is_finite(), "cell size must be positive");
-        let min = Self::key(Point::new(bounds.x1, bounds.y1), cell);
-        let max = Self::key(Point::new(bounds.x2, bounds.y2), cell);
+        let layout = Layout::fit(bounds, cell, hosts);
         Self {
-            cell,
+            layout,
             positions: Vec::new(),
             cell_of: Vec::new(),
-            store: BucketStore::with_extent(min, max, hosts),
+            starts: vec![0; layout.cells() + 2],
+            members: Vec::new(),
         }
-    }
-
-    fn key(p: Point, cell: f64) -> (i64, i64) {
-        ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
     }
 
     /// Number of indexed hosts.
@@ -251,130 +174,66 @@ impl NeighborGrid {
         self.positions[i]
     }
 
-    /// Brings the grid up to date with the fleet's current positions and
-    /// online flags, re-binning only hosts whose cell or online state
-    /// changed since the last refresh — the steady-state maintenance
-    /// path of the epoch loop. Positions are copied into the grid's
-    /// retained buffer (no allocation once sized); the result is
-    /// *identical* — same members, same per-cell id order, hence the
-    /// same [`NeighborGrid::neighbors_within`] output order — to a
-    /// from-scratch [`NeighborGrid::build_active`] over the same input,
-    /// which `debug_assert!`s verify on every refresh.
+    /// Rebuilds the grid over the fleet's current positions and online
+    /// flags — the per-boundary maintenance path of the epoch loop.
+    /// Positions are copied into the grid's retained buffers, so a warm
+    /// refresh does not allocate. The result is identical — same cells,
+    /// same per-cell id order, hence the same
+    /// [`NeighborGrid::neighbors_within`] output order — to a fresh
+    /// grid with the same bounds refreshed once with the same input.
     pub fn refresh_active(&mut self, positions: &[Point], online: &[bool]) {
-        assert_eq!(positions.len(), online.len(), "one flag per host");
-        assert!(positions.len() < u32::MAX as usize, "host ids must fit u32");
-        if self.positions.len() != positions.len() {
-            // Fleet size changed (first refresh, usually): evict
-            // everything and start over at the new size.
-            for i in 0..self.cell_of.len() {
-                let k = self.cell_of[i];
-                if k != NOT_INDEXED {
-                    self.store.clear_cell(k);
-                }
-            }
-            self.positions.clear();
-            self.positions.extend_from_slice(positions);
-            self.cell_of.clear();
-            self.cell_of.resize(positions.len(), NOT_INDEXED);
-            self.rebin_all(online);
-        } else {
-            self.positions.copy_from_slice(positions);
-            // A host drifting past the pre-sized extent forces a grown
-            // rebuild; world-clamped mobility never does.
-            let grow = online.iter().enumerate().any(|(i, &on)| {
-                on && !self.store.in_range(Self::key(self.positions[i], self.cell))
-            });
-            if grow {
-                for k in self.cell_of.iter_mut() {
-                    if *k != NOT_INDEXED {
-                        self.store.clear_cell(*k);
-                    }
-                    *k = NOT_INDEXED;
-                }
-                self.rebin_all(online);
-            } else {
-                for (i, &on) in online.iter().enumerate() {
-                    let new_key = if on {
-                        Self::key(self.positions[i], self.cell)
-                    } else {
-                        NOT_INDEXED
-                    };
-                    let old_key = self.cell_of[i];
-                    if old_key == new_key {
-                        continue;
-                    }
-                    if old_key != NOT_INDEXED {
-                        self.store.remove(old_key, i as u32);
-                    }
-                    if new_key != NOT_INDEXED {
-                        self.store.insert(new_key, i as u32);
-                    }
-                    self.cell_of[i] = new_key;
-                }
-            }
-        }
-        // Full-rebuild oracle: in debug builds, every refresh is checked
-        // against a from-scratch build over the same input.
-        debug_assert!(self.matches_full_rebuild(online));
+        self.positions.clear();
+        self.positions.extend_from_slice(positions);
+        self.rebuild(online);
     }
 
-    /// Re-bins every online host from scratch into a store sized to the
-    /// current positions. `cell_of` must be all-[`NOT_INDEXED`] and the
-    /// store's occupied cells already cleared.
-    fn rebin_all(&mut self, online: &[bool]) {
-        let mut min = (i64::MAX, i64::MAX);
-        let mut max = (i64::MIN, i64::MIN);
-        for (i, p) in self.positions.iter().enumerate() {
-            if online[i] {
-                let k = Self::key(*p, self.cell);
-                min = (min.0.min(k.0), min.1.min(k.1));
-                max = (max.0.max(k.0), max.1.max(k.1));
-                self.cell_of[i] = k;
+    /// The counting sort: cell index per host, counts per cell, prefix
+    /// sum, then a scatter of ids in increasing order into `members`.
+    fn rebuild(&mut self, online: &[bool]) {
+        assert_eq!(self.positions.len(), online.len(), "one flag per host");
+        assert!(
+            self.positions.len() < NOT_INDEXED as usize,
+            "host ids must fit u32"
+        );
+        let layout = self.layout;
+        // Cell c's count lands in starts[c + 2], so after the prefix sum
+        // starts[c + 1] is where cell c begins. The scatter advances it
+        // to where cell c ends, which is where cell c + 1 begins — so
+        // afterwards starts[c]..starts[c + 1] is exactly cell c.
+        self.starts.clear();
+        self.starts.resize(layout.cells() + 2, 0);
+        self.cell_of.clear();
+        self.cell_of.resize(self.positions.len(), NOT_INDEXED);
+        for ((c, p), &on) in self.cell_of.iter_mut().zip(&self.positions).zip(online) {
+            if on && p.is_finite() {
+                let (x, y) = layout.cell_xy(*p);
+                *c = layout.index(x, y) as u32;
             }
         }
-        if !self
-            .cell_of
-            .iter()
-            .all(|&k| k == NOT_INDEXED || self.store.in_range(k))
-        {
-            self.store = BucketStore::with_extent(min, max, self.positions.len());
-        }
-        for (i, &k) in self.cell_of.iter().enumerate() {
-            if k != NOT_INDEXED {
-                self.store.push_ascending(k, i as u32);
+        for &c in &self.cell_of {
+            if c != NOT_INDEXED {
+                self.starts[c as usize + 2] += 1;
             }
         }
-    }
-
-    /// Whether this grid is member-for-member identical (same cells,
-    /// same id order) to a fresh [`NeighborGrid::build_active`] over its
-    /// current positions. The incremental paths `debug_assert!` this.
-    fn matches_full_rebuild(&self, online: &[bool]) -> bool {
-        let fresh = Self::build_active(self.positions.clone(), self.cell, online);
-        let mut indexed = 0usize;
-        for (i, &k) in fresh.cell_of.iter().enumerate() {
-            if self.cell_of[i] != k {
-                return false;
-            }
-            if k != NOT_INDEXED {
-                indexed += 1;
-                if self.store.get(k) != fresh.store.get(k) {
-                    return false;
-                }
+        for c in 1..self.starts.len() {
+            self.starts[c] += self.starts[c - 1];
+        }
+        let indexed = self.starts[layout.cells() + 1] as usize;
+        self.members.clear();
+        self.members.resize(indexed, 0);
+        for (i, &c) in self.cell_of.iter().enumerate() {
+            if c != NOT_INDEXED {
+                let slot = &mut self.starts[c as usize + 1];
+                self.members[*slot as usize] = i as u32;
+                *slot += 1;
             }
         }
-        // No phantom members: every indexed host was visited above, so
-        // matching list contents plus a matching total rules out strays.
-        let total: usize = self
-            .cell_of
-            .iter()
-            .filter(|&&k| k != NOT_INDEXED)
-            .count();
-        total == indexed
     }
 
     /// Host ids within Euclidean distance `range` of `center`, excluding
-    /// `exclude` (the querying host itself). Order is unspecified.
+    /// `exclude` (the querying host itself), in ring order: cells dx
+    /// outer, dy inner around `center`'s cell, ids ascending within a
+    /// cell.
     pub fn neighbors_within(
         &self,
         center: Point,
@@ -382,72 +241,35 @@ impl NeighborGrid {
         exclude: Option<usize>,
     ) -> Vec<usize> {
         let mut out = Vec::new();
+        let layout = &self.layout;
         let r_sq = range * range;
-        let reach = (range / self.cell).ceil() as i64;
-        let (cx, cy) = Self::key(center, self.cell);
-        for dx in -reach..=reach {
-            for dy in -reach..=reach {
-                for &i in self.store.get((cx.saturating_add(dx), cy.saturating_add(dy))) {
-                    let i = i as usize;
-                    if Some(i) != exclude && self.positions[i].distance_sq(center) <= r_sq {
-                        out.push(i);
-                    }
+        let reach = (range / layout.cell).ceil() as i64;
+        let (cx, cy) = layout.cell_xy(center);
+        // Ring cells outside the extent hold nothing; skip them. (The
+        // centre is clamped, the ring cells are not — clamping those
+        // would visit edge cells twice.) A negative range empties both
+        // spans.
+        let (x_lo, x_hi) = (
+            cx.saturating_sub(reach).max(0),
+            cx.saturating_add(reach).min(layout.nx - 1),
+        );
+        let (y_lo, y_hi) = (
+            cy.saturating_sub(reach).max(0),
+            cy.saturating_add(reach).min(layout.ny - 1),
+        );
+        for x in x_lo..=x_hi {
+            // Rows y_lo..=y_hi of one column are a single member run,
+            // already in dy-then-id order.
+            let from = self.starts[layout.index(x, y_lo)] as usize;
+            let to = self.starts[layout.index(x, y_hi) + 1] as usize;
+            for &i in &self.members[from..to] {
+                let i = i as usize;
+                if Some(i) != exclude && self.positions[i].distance_sq(center) <= r_sq {
+                    out.push(i);
                 }
             }
         }
         out
-    }
-
-    /// Moves one host to a new position (rebuilding its bucket links).
-    pub fn update_position(&mut self, i: usize, new_pos: Point) {
-        let new_key = Self::key(new_pos, self.cell);
-        self.positions[i] = new_pos;
-        let old_key = self.cell_of[i];
-        if old_key == new_key {
-            return;
-        }
-        if old_key != NOT_INDEXED {
-            self.store.remove(old_key, i as u32);
-        }
-        if !self.store.in_range(new_key) {
-            self.grow_to(new_key);
-        }
-        self.store.insert(new_key, i as u32);
-        self.cell_of[i] = new_key;
-    }
-
-    /// Expands a dense store's extent to cover `key` (or degrades to
-    /// sparse past the cell cap), preserving every member list.
-    fn grow_to(&mut self, key: (i64, i64)) {
-        let BucketStore::Dense { base, nx, ny, cells } = &mut self.store else {
-            return;
-        };
-        let (min, max) = if *nx == 0 || *ny == 0 {
-            (key, key)
-        } else {
-            (
-                (base.0.min(key.0), base.1.min(key.1)),
-                (
-                    (base.0 + *nx - 1).max(key.0),
-                    (base.1 + *ny - 1).max(key.1),
-                ),
-            )
-        };
-        let old_cells = std::mem::take(cells);
-        let (old_base, old_nx, old_ny) = (*base, *nx, *ny);
-        let mut grown = BucketStore::with_extent(min, max, self.positions.len());
-        for (idx, members) in old_cells.into_iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            let k = (
-                old_base.0 + (idx as i64 % old_nx.max(1)),
-                old_base.1 + (idx as i64 / old_nx.max(1)),
-            );
-            debug_assert!(idx as i64 / old_nx.max(1) < old_ny);
-            *grown.cell_mut(k) = members;
-        }
-        self.store = grown;
     }
 }
 
@@ -468,22 +290,28 @@ mod tests {
             .collect()
     }
 
+    fn brute_force(pts: &[Point], online: &[bool], center: Point, range: f64) -> Vec<usize> {
+        (0..pts.len())
+            .filter(|&i| online[i] && pts[i].distance_sq(center) <= range * range)
+            .collect()
+    }
+
+    fn sorted(mut v: Vec<usize>) -> Vec<usize> {
+        v.sort_unstable();
+        v
+    }
+
     #[test]
     fn neighbors_match_brute_force() {
         let pts = scatter(500);
         let g = NeighborGrid::build(pts.clone(), 1.0);
         let center = Point::new(5.0, 5.0);
         for range in [0.3, 1.0, 2.5] {
-            let mut got = g.neighbors_within(center, range, None);
-            got.sort_unstable();
-            let mut want: Vec<usize> = pts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.distance(center) <= range)
-                .map(|(i, _)| i)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "range {range}");
+            assert_eq!(
+                sorted(g.neighbors_within(center, range, None)),
+                brute_force(&pts, &[true; 500], center, range),
+                "range {range}"
+            );
         }
     }
 
@@ -504,30 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn update_position_relocates_host() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(10.0, 10.0)];
-        let mut g = NeighborGrid::build(pts, 1.0);
-        assert!(g.neighbors_within(Point::new(10.0, 10.0), 0.5, None).contains(&1));
-        g.update_position(1, Point::new(0.2, 0.0));
-        assert!(g.neighbors_within(Point::new(10.0, 10.0), 0.5, None).is_empty());
-        let near_origin = g.neighbors_within(Point::ORIGIN, 0.5, None);
-        assert!(near_origin.contains(&0) && near_origin.contains(&1));
-        assert_eq!(g.position(1), Point::new(0.2, 0.0));
-    }
-
-    #[test]
-    fn update_position_can_leave_the_built_extent() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(3.0, 3.0)];
-        let mut g = NeighborGrid::build(pts, 1.0);
-        g.update_position(0, Point::new(-50.0, 120.0));
-        assert_eq!(
-            g.neighbors_within(Point::new(-50.0, 120.0), 0.5, None),
-            vec![0]
-        );
-        assert_eq!(g.neighbors_within(Point::new(3.0, 3.0), 0.5, None), vec![1]);
-    }
-
-    #[test]
     fn negative_coordinates_hash_correctly() {
         let pts = vec![Point::new(-0.5, -0.5), Point::new(0.5, 0.5)];
         let g = NeighborGrid::build(pts, 1.0);
@@ -537,11 +341,14 @@ mod tests {
 
     #[test]
     fn offline_hosts_are_invisible_but_addressable() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(0.1, 0.0), Point::new(0.2, 0.0)];
+        let pts = vec![
+            Point::new(0.0, 0.0),
+            Point::new(0.1, 0.0),
+            Point::new(0.2, 0.0),
+        ];
         let online = [true, false, true];
         let g = NeighborGrid::build_active(pts, 1.0, &online);
-        let mut n = g.neighbors_within(Point::ORIGIN, 1.0, None);
-        n.sort_unstable();
+        let n = sorted(g.neighbors_within(Point::ORIGIN, 1.0, None));
         assert_eq!(n, vec![0, 2], "offline host 1 must not be discoverable");
         // Positions stay total: relays can still be located by id.
         assert_eq!(g.position(1), Point::new(0.1, 0.0));
@@ -550,11 +357,10 @@ mod tests {
         let pts2 = vec![Point::new(0.0, 0.0), Point::new(0.1, 0.0)];
         let a = NeighborGrid::build_active(pts2.clone(), 1.0, &[true, true]);
         let b = NeighborGrid::build(pts2, 1.0);
-        let mut na = a.neighbors_within(Point::ORIGIN, 1.0, None);
-        let mut nb = b.neighbors_within(Point::ORIGIN, 1.0, None);
-        na.sort_unstable();
-        nb.sort_unstable();
-        assert_eq!(na, nb);
+        assert_eq!(
+            a.neighbors_within(Point::ORIGIN, 1.0, None),
+            b.neighbors_within(Point::ORIGIN, 1.0, None)
+        );
     }
 
     #[test]
@@ -562,74 +368,209 @@ mod tests {
         let g = NeighborGrid::build(Vec::new(), 1.0);
         assert!(g.is_empty());
         assert!(g.neighbors_within(Point::ORIGIN, 10.0, None).is_empty());
+        let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
+        let unrefreshed = NeighborGrid::with_bounds(&world, 1.0, 100);
+        assert!(unrefreshed
+            .neighbors_within(Point::new(5.0, 5.0), 3.0, None)
+            .is_empty());
     }
 
     #[test]
-    fn refresh_matches_fresh_build() {
-        let mut pts = scatter(200);
-        let mut online = vec![true; 200];
-        let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
-        let mut g = NeighborGrid::with_bounds(&world, 1.0, 200);
-        let mut state = 77u64;
-        let mut rng = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 16
-        };
-        for round in 0..12 {
-            // Drift some hosts, toggle some flags.
-            for _ in 0..40 {
-                let i = (rng() as usize) % pts.len();
-                pts[i] = Point::new((rng() % 10_000) as f64 / 1000.0, (rng() % 10_000) as f64 / 1000.0);
-            }
-            for _ in 0..10 {
-                let i = (rng() as usize) % online.len();
-                online[i] = !online[i];
-            }
-            g.refresh_active(&pts, &online);
-            let fresh = NeighborGrid::build_active(pts.clone(), 1.0, &online);
-            for probe in 0..20 {
-                let c = Point::new(
-                    (probe % 5) as f64 * 2.0 + 0.5,
-                    (probe / 5) as f64 * 2.0 + 0.5,
-                );
-                assert_eq!(
-                    g.neighbors_within(c, 1.5, Some(probe)),
-                    fresh.neighbors_within(c, 1.5, Some(probe)),
-                    "round {round}, probe {probe}: incremental grid diverged \
-                     from full rebuild (order included)"
-                );
-            }
+    fn refresh_finds_hosts_outside_the_declared_bounds() {
+        let world = Rect::from_coords(0.0, 0.0, 4.0, 4.0);
+        let mut g = NeighborGrid::with_bounds(&world, 1.0, 3);
+        let pts = vec![
+            Point::new(1.0, 1.0),
+            Point::new(3.0, 3.0),
+            Point::new(2.0, 2.0),
+        ];
+        g.refresh_active(&pts, &[true, true, true]);
+        // One host escapes the declared world into a clamped edge cell.
+        let pts2 = vec![
+            Point::new(1.0, 1.0),
+            Point::new(90.0, -6.0),
+            Point::new(2.0, 2.0),
+        ];
+        g.refresh_active(&pts2, &[true, true, true]);
+        assert_eq!(
+            g.neighbors_within(Point::new(90.0, -6.0), 0.5, None),
+            vec![1]
+        );
+        assert_eq!(g.neighbors_within(Point::new(1.0, 1.0), 0.5, None), vec![0]);
+        assert!(g
+            .neighbors_within(Point::new(4.0, 0.0), 1.0, None)
+            .is_empty());
+        assert_eq!(
+            g.neighbors_within(Point::new(50.0, -3.0), 41.0, None),
+            vec![1]
+        );
+    }
+
+    #[test]
+    fn far_apart_points_coarsen_instead_of_allocating_the_extent() {
+        // Two points ~1e9 cells apart: a cell array over that extent
+        // would be absurd, so the cell coarsens to fit the cap.
+        let pts = vec![
+            Point::new(0.0, 0.0),
+            Point::new(1e9, 1e9),
+            Point::new(0.5, 0.0),
+        ];
+        let g = NeighborGrid::build(pts.clone(), 1.0);
+        assert!(g.layout.cells() as i128 <= cell_cap(pts.len()));
+        assert!(g.starts.len() <= g.layout.cells() + 2);
+        let on = [true; 3];
+        for (c, r) in [
+            (Point::new(0.1, 0.1), 1.0),
+            (Point::new(1e9, 1e9), 1.0),
+            (Point::new(5e8, 5e8), 8e8),
+            (Point::new(-3.0, 2e9), 3e9),
+        ] {
+            assert_eq!(
+                sorted(g.neighbors_within(c, r, None)),
+                brute_force(&pts, &on, c, r)
+            );
         }
     }
 
     #[test]
-    fn refresh_grows_past_the_declared_bounds() {
-        let world = Rect::from_coords(0.0, 0.0, 4.0, 4.0);
-        let mut g = NeighborGrid::with_bounds(&world, 1.0, 3);
-        let pts = vec![Point::new(1.0, 1.0), Point::new(3.0, 3.0), Point::new(2.0, 2.0)];
-        g.refresh_active(&pts, &[true, true, true]);
-        // One host escapes the declared world; the grid must follow it.
-        let pts2 = vec![Point::new(1.0, 1.0), Point::new(90.0, -6.0), Point::new(2.0, 2.0)];
-        g.refresh_active(&pts2, &[true, true, true]);
-        assert_eq!(g.neighbors_within(Point::new(90.0, -6.0), 0.5, None), vec![1]);
-        assert_eq!(g.neighbors_within(Point::new(1.0, 1.0), 0.5, None), vec![0]);
+    fn zero_range_over_a_city_sized_world_stays_within_the_cap() {
+        // tx_range 0 → the engine's 1e-3-mile floor cell over a 20-mile
+        // world: 4e8 cells at the requested size.
+        let world = Rect::from_coords(0.0, 0.0, 20.0, 20.0);
+        let hosts = 2_000;
+        let mut g = NeighborGrid::with_bounds(&world, 1e-3, hosts);
+        assert!(g.layout.cells() as i128 <= cell_cap(hosts));
+        let ratio = g.layout.cell / 1e-3;
+        assert!(ratio > 1.0 && ratio == ratio.round() && (ratio as u64).is_power_of_two());
+        // Scattered hosts plus stacks of coincident ones, which are the
+        // only neighbors a zero range can find.
+        let mut pts: Vec<Point> = scatter(hosts)
+            .into_iter()
+            .map(|p| Point::new(p.x * 2.0, p.y * 2.0))
+            .collect();
+        for i in (0..hosts).step_by(7) {
+            pts[i] = pts[i / 2];
+        }
+        let online: Vec<bool> = (0..hosts).map(|i| i % 5 != 0).collect();
+        g.refresh_active(&pts, &online);
+        for (h, &p) in pts.iter().enumerate().step_by(3) {
+            let mut want = brute_force(&pts, &online, p, 0.0);
+            want.retain(|&i| i != h);
+            assert_eq!(g.neighbors_within(p, 0.0, Some(h)), want, "host {h}");
+            assert_eq!(
+                sorted(g.neighbors_within(p, 0.3, None)),
+                brute_force(&pts, &online, p, 0.3),
+                "host {h}"
+            );
+        }
     }
 
     #[test]
-    fn huge_extent_falls_back_to_sparse_storage() {
-        // Two points ~1e9 cells apart: a dense array would be absurd;
-        // the sparse fallback must answer identically.
-        let pts = vec![Point::new(0.0, 0.0), Point::new(1e9, 1e9)];
+    fn non_finite_positions_are_never_indexed() {
+        let pts = vec![
+            Point::new(f64::NAN, 1.0),
+            Point::new(f64::INFINITY, f64::INFINITY),
+            Point::new(1.0, 1.0),
+            Point::new(f64::NEG_INFINITY, 0.0),
+        ];
         let g = NeighborGrid::build(pts, 1.0);
-        assert!(matches!(g.store, BucketStore::Sparse(_)));
-        assert_eq!(g.neighbors_within(Point::new(0.1, 0.1), 1.0, None), vec![0]);
-        assert_eq!(g.neighbors_within(Point::new(1e9, 1e9), 1.0, None), vec![1]);
+        assert_eq!(g.members, vec![2]);
+        let one = Point::new(1.0, 1.0);
+        assert_eq!(g.neighbors_within(one, f64::INFINITY, None), vec![2]);
+        for (c, r) in [
+            (Point::new(f64::INFINITY, 0.0), 5.0),
+            (one, f64::NAN),
+            (one, -1.0),
+        ] {
+            assert!(g.neighbors_within(c, r, None).is_empty(), "{c:?} {r}");
+        }
     }
 
+    /// Checks the CSR layout against its definition: every online host
+    /// at a finite position appears exactly once, in its clamped cell,
+    /// and each cell's members are id-sorted.
+    fn assert_csr_invariants(g: &NeighborGrid, online: &[bool]) {
+        let layout = g.layout;
+        assert_eq!((g.starts.len(), g.starts[0]), (layout.cells() + 2, 0));
+        let mut seen = vec![false; g.positions.len()];
+        for x in 0..layout.nx {
+            for y in 0..layout.ny {
+                let c = layout.index(x, y);
+                let cell = &g.members[g.starts[c] as usize..g.starts[c + 1] as usize];
+                assert!(cell.windows(2).all(|w| w[0] < w[1]), "({x},{y}) unsorted");
+                for &i in cell {
+                    let (i, p) = (i as usize, g.positions[i as usize]);
+                    assert!(online[i] && p.is_finite(), "host {i} must not be indexed");
+                    assert_eq!(layout.cell_xy(p), (x, y), "host {i} in the wrong cell");
+                    assert!(!std::mem::replace(&mut seen[i], true), "host {i} twice");
+                }
+            }
+        }
+        let indexed = (0..seen.len()).filter(|&i| online[i] && g.positions[i].is_finite());
+        assert_eq!(
+            g.members.len(),
+            indexed.count(),
+            "an indexable host is missing"
+        );
+    }
+
+    /// Scale check: 200k hosts at LA-City density (93,300 hosts on 400
+    /// square miles, 200 m range) through random-walk mobility and churn,
+    /// with the CSR invariants and a sample of brute-force probes checked
+    /// after every refresh. Run it optimized:
+    /// `cargo test --release -p airshare-p2p --lib -- --ignored`.
     #[test]
-    fn dense_layout_is_used_for_world_sized_extents() {
-        let pts = scatter(500);
-        let g = NeighborGrid::build(pts, 1.0);
-        assert!(matches!(g.store, BucketStore::Dense { .. }));
+    #[ignore = "200k-host scale check; run with --release -- --ignored"]
+    fn scale_rebuild_keeps_csr_invariants_and_exact_answers() {
+        let hosts = 200_000;
+        let side = (hosts as f64 * 400.0 / 93_300.0).sqrt();
+        let range = 200.0 / 1609.344;
+        let world = Rect::from_coords(0.0, 0.0, side, side);
+        let mut state = 0x5EED_u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut pts: Vec<Point> = (0..hosts)
+            .map(|_| Point::new(unit() * side, unit() * side))
+            .collect();
+        let mut online: Vec<bool> = (0..hosts).map(|_| unit() < 0.9).collect();
+        let mut g = NeighborGrid::with_bounds(&world, range, hosts);
+        for epoch in 0..6 {
+            // Walk every host up to half a mile, clamped to the world,
+            // except a few that stray outside it; flip ~2% of the flags.
+            for p in pts.iter_mut() {
+                let stray = unit() < 0.001;
+                let step = if stray { 10.0 } else { 1.0 };
+                let x = p.x + (unit() - 0.5) * step;
+                let y = p.y + (unit() - 0.5) * step;
+                let (lo, hi) = if stray {
+                    (-9.0, side + 9.0)
+                } else {
+                    (0.0, side)
+                };
+                *p = Point::new(x.clamp(lo, hi), y.clamp(lo, hi));
+            }
+            for on in online.iter_mut() {
+                if unit() < 0.02 {
+                    *on = !*on;
+                }
+            }
+            g.refresh_active(&pts, &online);
+            assert_csr_invariants(&g, &online);
+            for probe in 0..200 {
+                let h = (unit() * hosts as f64) as usize;
+                let r = range * (0.5 + 2.0 * unit());
+                let mut want = brute_force(&pts, &online, pts[h], r);
+                want.retain(|&i| i != h);
+                assert_eq!(
+                    sorted(g.neighbors_within(pts[h], r, Some(h))),
+                    want,
+                    "epoch {epoch}, probe {probe} from host {h}"
+                );
+            }
+        }
     }
 }

@@ -552,9 +552,8 @@ impl Scheduler {
             .extend(std::mem::take(&mut *self.shared.control.lock().unwrap()));
 
         // Epoch barrier: flush the old epoch's batch against its grid,
-        // then apply control and delta-refresh the retained neighbor
-        // grid for the new epoch (only hosts whose cell or online flag
-        // changed are re-binned — no per-barrier rebuild).
+        // then apply control and rebuild the retained neighbor grid
+        // for the new epoch in place (no allocation once warm).
         if self.current_epoch != Some(target) {
             let batch = std::mem::take(&mut self.open_batch);
             self.epoch_executed += batch.len() as u32;

@@ -534,10 +534,10 @@ impl Simulation {
 
         let mut report = SimReport::default();
         let mut phases = PhaseTimes::default();
-        // The neighbor grid is *retained* across epochs: pre-sized to
-        // the world's extent once, then delta-refreshed at each boundary
-        // (only hosts whose cell or online flag changed are re-binned).
-        // No per-epoch position clone, no from-scratch rebuild.
+        // The neighbor grid is *retained* across epochs: laid out over
+        // the world's extent once, then rebuilt in place at each
+        // boundary by a counting sort over its retained buffers. No
+        // per-epoch position clone, no allocation once warm.
         let mut grid = NeighborGrid::with_bounds(&self.world, cell, cfg.params.mh_number);
         // The committed cache state peers observe, maintained
         // *incrementally*: cloned whole once, then only hosts whose

@@ -87,7 +87,7 @@ impl LiveWorld {
         let range = meters_to_miles(cfg.params.tx_range_m);
         let cell = range.max(1e-3);
         // All sessions start offline; `connect` admits them. The grid
-        // is retained for the world's lifetime and delta-refreshed at
+        // is retained for the world's lifetime and rebuilt in place at
         // each boundary — no per-epoch position clone.
         core.fleet.online = vec![false; n];
         let mut grid = NeighborGrid::with_bounds(&core.world, cell, n);
@@ -181,10 +181,9 @@ impl LiveWorld {
         self.fleet.positions[host] = pos;
     }
 
-    /// Commits the epoch boundary: refreshes the retained neighbor grid
-    /// over the online fleet at their reported positions (re-binning
-    /// only hosts whose cell or online flag changed) and snapshots the
-    /// committed caches peers will see. Must run after this boundary's
+    /// Commits the epoch boundary: rebuilds the retained neighbor grid
+    /// over the online fleet at their reported positions and snapshots
+    /// the committed caches peers will see. Must run after this boundary's
     /// churn and position updates, before the epoch's batch.
     pub fn begin_epoch(&mut self, epoch: u64) {
         self.grid
