@@ -136,50 +136,6 @@ impl MergedRegion {
             .collect();
         MergedRegion { region, pois }
     }
-
-    /// A sound verified region a host may adopt after answering a query
-    /// purely from peers: the largest axis-aligned square centred on `q`
-    /// inside the MVR (every POI inside the MVR is known, so any
-    /// sub-rectangle is verified). `max_half` caps the search.
-    pub fn adoptable_region(&self, q: Point, max_half: f64) -> Option<Rect> {
-        self.region.largest_inscribed_square(q, max_half)
-    }
-
-    /// `min(‖q, e_s‖, cap)` — the boundary distance of Lemma 3.1, exact
-    /// whenever it is below `cap`. Returns `None` when `q` is outside the
-    /// region (or the region is empty).
-    ///
-    /// Computed by expanding prune: boundary points of the union pruned
-    /// to `D(q, r)` that lie closer than `r` are genuine boundary points
-    /// of the full union (any rectangle covering their far side would
-    /// intersect the disk and be kept), so the first prune radius whose
-    /// boundary distance falls below it gives the exact answer — without
-    /// ever sweeping the full region set.
-    pub fn boundary_distance_capped(&self, q: Point, cap: f64) -> Option<f64> {
-        if cap <= 0.0 || !self.contains(q) {
-            return None;
-        }
-        let mut r = (cap / 16.0).max(1e-6);
-        loop {
-            let r_probe = r.min(cap);
-            let pruned = RectUnion::from_rects(
-                self.region
-                    .rects()
-                    .iter()
-                    .filter(|rect| rect.distance_sq_to_point(q) <= r_probe * r_probe)
-                    .copied(),
-            );
-            let (d, _) = pruned.distance_to_boundary(q)?;
-            if d < r_probe {
-                return Some(d.min(cap));
-            }
-            if r_probe >= cap {
-                // Even the cap-radius ball is covered.
-                return Some(cap);
-            }
-            r *= 4.0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -216,7 +172,6 @@ mod tests {
         let m = MergedRegion::from_replies(&[], &PoiTable::new());
         assert!(m.is_empty());
         assert_eq!(m.nearest_edge(Point::ORIGIN), None);
-        assert_eq!(m.adoptable_region(Point::ORIGIN, 1.0), None);
     }
 
     #[test]
@@ -228,45 +183,6 @@ mod tests {
         let m = MergedRegion::from_replies(&[a, b], &PoiTable::new());
         let (d, _) = m.nearest_edge(Point::new(1.0, 1.0)).unwrap();
         assert!((d - 1.0).abs() < 1e-9, "expected 1.0, got {d}");
-    }
-
-    #[test]
-    fn boundary_distance_capped_is_exact_below_cap() {
-        // L-shape; q deep in the wide arm: true boundary distance 0.5.
-        let a = reply(0, Rect::from_coords(0.0, 0.0, 4.0, 1.0), vec![]);
-        let b = reply(1, Rect::from_coords(0.0, 0.0, 1.0, 4.0), vec![]);
-        let m = MergedRegion::from_replies(&[a, b], &PoiTable::new());
-        let q = Point::new(2.0, 0.5);
-        let d = m.boundary_distance_capped(q, 10.0).unwrap();
-        assert!((d - 0.5).abs() < 1e-9, "d = {d}");
-        // Cap below the true distance: returns the cap (ball of that
-        // radius is proven covered).
-        let capped = m.boundary_distance_capped(q, 0.2).unwrap();
-        assert!((capped - 0.2).abs() < 1e-9);
-        // Outside the region: no distance.
-        assert_eq!(m.boundary_distance_capped(Point::new(9.0, 9.0), 1.0), None);
-        assert_eq!(m.boundary_distance_capped(q, 0.0), None);
-    }
-
-    #[test]
-    fn boundary_distance_capped_agrees_with_full_sweep() {
-        // Random-ish cluster; compare against the exhaustive boundary.
-        let rects = [
-            Rect::from_coords(0.0, 0.0, 3.0, 2.0),
-            Rect::from_coords(2.0, 1.0, 5.0, 4.0),
-            Rect::from_coords(1.0, 1.5, 2.5, 3.5),
-        ];
-        let m = MergedRegion::from_regions(rects.iter().map(|r| (*r, Vec::<Poi>::new())));
-        for q in [
-            Point::new(1.0, 1.0),
-            Point::new(2.5, 2.0),
-            Point::new(4.0, 3.0),
-            Point::new(2.2, 1.7),
-        ] {
-            let fast = m.boundary_distance_capped(q, 100.0).unwrap();
-            let (slow, _) = m.region().distance_to_boundary(q).unwrap();
-            assert!((fast - slow).abs() < 1e-9, "{q:?}: {fast} vs {slow}");
-        }
     }
 
     #[test]
@@ -298,14 +214,5 @@ mod tests {
         // Infinite radius is a no-op clone.
         let all = m.pruned_to_disk(q, f64::INFINITY);
         assert_eq!(all.pois().len(), 3);
-    }
-
-    #[test]
-    fn adoptable_region_is_inside_mvr() {
-        let a = reply(0, Rect::from_coords(0.0, 0.0, 4.0, 4.0), vec![]);
-        let m = MergedRegion::from_replies(&[a], &PoiTable::new());
-        let r = m.adoptable_region(Point::new(2.0, 2.0), 10.0).unwrap();
-        assert!(Rect::from_coords(-1e-6, -1e-6, 4.0 + 1e-6, 4.0 + 1e-6).contains_rect(&r));
-        assert!(r.width() > 3.9);
     }
 }

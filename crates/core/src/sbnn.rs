@@ -170,13 +170,23 @@ fn nnv_detailed(
         .iter()
         .map(|p| (p.distance_to(q), *p))
         .collect();
-    by_distance.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
-    by_distance.truncate(k);
+    // The k nearest, in ascending (distance, id) order. The comparator is
+    // total and ids are unique, so selecting then sorting the first k
+    // yields exactly the prefix a full sort would.
+    let by_key = |a: &(f64, Poi), b: &(f64, Poi)| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id));
+    if by_distance.len() > k {
+        by_distance.select_nth_unstable_by(k - 1, by_key);
+        by_distance.truncate(k);
+    }
+    by_distance.sort_unstable_by(by_key);
 
     // Everything NNV asks of the geometry lives within the k-th
     // candidate's disk; prune the merged region to it (exact — see
-    // `MergedRegion::pruned_to_disk`). With fewer than k candidates no
-    // pruning radius is sound, but the heap cannot fill either way.
+    // `MergedRegion::pruned_to_disk`). The pruned copy keeps the region
+    // sweeps small: the boundary distance below and every unverified
+    // candidate's Lemma-3.2 area sweep only the rectangles near `q`.
+    // With fewer than k candidates no pruning radius is sound, but the
+    // heap cannot fill either way.
     let (mvr, prune_radius) = if by_distance.len() == k {
         let r = by_distance.last().map(|(d, _)| *d).unwrap_or(0.0);
         let pr = r * (1.0 + 1e-12) + 1e-9;
@@ -187,7 +197,9 @@ fn nnv_detailed(
 
     // Verification radius: distance to the nearest boundary edge, valid
     // only when q is inside the MVR. On the pruned region this is exact
-    // up to the prune radius; the cap keeps it sound either way.
+    // up to the prune radius; the cap keeps it sound either way. The
+    // sweep itself visits boundary lines nearest-first and stops at the
+    // first one beyond the best edge, so it touches only lines near `q`.
     let d_es = if mvr.contains(q) {
         mvr.nearest_edge(q)
             .map(|(d, _)| d.min(prune_radius))

@@ -143,13 +143,13 @@ pub fn disk_rect_area(disk: Disk, rect: &Rect) -> f64 {
 }
 
 /// Exact area of `disk ∩ region` for a rectangle union, via the region's
-/// disjoint decomposition (tiles only share borders, so areas add).
+/// disjoint decomposition (tiles only share borders, so areas add). The
+/// tiles are summed in [`RectUnion::disjoint_rects`] order as the sweep
+/// yields them, with no tile list built.
 pub fn disk_region_area(disk: Disk, region: &RectUnion) -> f64 {
-    region
-        .disjoint_rects()
-        .iter()
-        .map(|r| disk_rect_area(disk, r))
-        .sum()
+    crate::sweep::with_tiles(region.rects(), |tiles| {
+        tiles.map(|r| disk_rect_area(disk, &r)).sum()
+    })
 }
 
 #[cfg(test)]

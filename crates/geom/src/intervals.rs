@@ -35,10 +35,7 @@ impl IntervalSet {
         v.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut runs: Vec<(f64, f64)> = Vec::with_capacity(v.len());
         for (lo, hi) in v {
-            match runs.last_mut() {
-                Some(last) if lo <= last.1 + EPSILON => last.1 = last.1.max(hi),
-                _ => runs.push((lo, hi)),
-            }
+            push_run(&mut runs, lo, hi);
         }
         Self { runs }
     }
@@ -99,29 +96,7 @@ impl IntervalSet {
     /// Set difference `self \ other`.
     pub fn difference(&self, other: &IntervalSet) -> IntervalSet {
         let mut out = Vec::new();
-        let mut j = 0;
-        for &(alo, ahi) in &self.runs {
-            let mut cursor = alo;
-            // Skip subtrahend runs entirely left of this run.
-            while j < other.runs.len() && other.runs[j].1 <= alo {
-                j += 1;
-            }
-            let mut k = j;
-            while k < other.runs.len() && other.runs[k].0 < ahi {
-                let (blo, bhi) = other.runs[k];
-                if blo - cursor > EPSILON {
-                    out.push((cursor, blo.min(ahi)));
-                }
-                cursor = cursor.max(bhi);
-                if cursor >= ahi {
-                    break;
-                }
-                k += 1;
-            }
-            if ahi - cursor > EPSILON {
-                out.push((cursor, ahi));
-            }
-        }
+        difference_into(&self.runs, &other.runs, &mut out);
         IntervalSet { runs: out }
     }
 
@@ -140,6 +115,49 @@ impl IntervalSet {
     /// Clips the set to `[lo, hi]`.
     pub fn clip(&self, lo: f64, hi: f64) -> IntervalSet {
         self.intersection(&IntervalSet::single(lo, hi))
+    }
+}
+
+/// Appends `(lo, hi)` to the canonical `runs`, merging it into the last
+/// run when the two overlap or are ε-close. Intervals must arrive in
+/// ascending `lo` order; degenerate ones (width ≤ ε) are dropped. This is
+/// the merge step of [`IntervalSet::from_intervals`], shared with the
+/// region sweeps so they build identical runs in reused buffers.
+pub(crate) fn push_run(runs: &mut Vec<(f64, f64)>, lo: f64, hi: f64) {
+    // Written as a keep-test so NaN widths are dropped too.
+    if hi - lo > EPSILON {
+        match runs.last_mut() {
+            Some(last) if lo <= last.1 + EPSILON => last.1 = last.1.max(hi),
+            _ => runs.push((lo, hi)),
+        }
+    }
+}
+
+/// Appends the canonical runs of `a \ b` to `out`; both inputs must be
+/// canonical. The body of [`IntervalSet::difference`].
+pub(crate) fn difference_into(a: &[(f64, f64)], b: &[(f64, f64)], out: &mut Vec<(f64, f64)>) {
+    let mut j = 0;
+    for &(alo, ahi) in a {
+        let mut cursor = alo;
+        // Skip subtrahend runs entirely left of this run.
+        while j < b.len() && b[j].1 <= alo {
+            j += 1;
+        }
+        let mut k = j;
+        while k < b.len() && b[k].0 < ahi {
+            let (blo, bhi) = b[k];
+            if blo - cursor > EPSILON {
+                out.push((cursor, blo.min(ahi)));
+            }
+            cursor = cursor.max(bhi);
+            if cursor >= ahi {
+                break;
+            }
+            k += 1;
+        }
+        if ahi - cursor > EPSILON {
+            out.push((cursor, ahi));
+        }
     }
 }
 

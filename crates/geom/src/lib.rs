@@ -34,6 +34,7 @@ mod point;
 mod rect;
 mod region;
 mod segment;
+mod sweep;
 
 pub use intervals::IntervalSet;
 pub use point::Point;

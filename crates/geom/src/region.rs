@@ -19,39 +19,23 @@
 //! * [`RectUnion::largest_inscribed_square`] — a sound verified region a
 //!   host may adopt for its own cache after answering a query from peers.
 
-use crate::{IntervalSet, Point, Rect, Segment, EPSILON};
-use std::sync::OnceLock;
+use crate::sweep;
+use crate::{Point, Rect, Segment, EPSILON};
 
 /// A union of axis-aligned rectangles in the plane.
 ///
-/// The rectangle list is kept as provided (minus degenerate members);
-/// all queries are answered by sweeps over the list, so construction is
-/// O(n) and queries are O(n log n) in the number of rectangles — peers
-/// number in the tens. The boundary-edge set, however, is consulted per
-/// verification step by SBNN's MVR pruning, so it is computed once on
-/// first use and cached until the member list changes.
-#[derive(Debug, Default)]
+/// The rectangle list is kept as provided (minus degenerate members), so
+/// construction is O(n). Every query is a sweep over the list: the
+/// members are sorted once, O(n log n), and each candidate line or slab
+/// then costs one linear pass, O(n). The whole-region sweeps visit O(n)
+/// lines or slabs, so they are O(n²); [`RectUnion::distance_to_boundary`]
+/// visits lines nearest-first and stops at the first one farther than
+/// the best edge found, usually after a handful. Peer regions near a
+/// query number in the tens, and the sweeps' working buffers are reused
+/// per thread.
+#[derive(Clone, Debug, Default)]
 pub struct RectUnion {
     rects: Vec<Rect>,
-    /// Lazily computed boundary edges; invalidated by [`RectUnion::push`].
-    /// `OnceLock` (not `OnceCell`) so cached regions stay `Sync` for the
-    /// parallel simulation runtime's shared snapshots.
-    edges: OnceLock<Vec<Segment>>,
-}
-
-impl Clone for RectUnion {
-    fn clone(&self) -> Self {
-        // Carry the cache across clones: pruned copies are rebuilt from
-        // scratch anyway, and verbatim clones keep their edges valid.
-        let edges = OnceLock::new();
-        if let Some(e) = self.edges.get() {
-            let _ = edges.set(e.clone());
-        }
-        Self {
-            rects: self.rects.clone(),
-            edges,
-        }
-    }
 }
 
 impl RectUnion {
@@ -64,7 +48,6 @@ impl RectUnion {
     pub fn from_rects<I: IntoIterator<Item = Rect>>(rects: I) -> Self {
         Self {
             rects: rects.into_iter().filter(|r| !r.is_degenerate()).collect(),
-            edges: OnceLock::new(),
         }
     }
 
@@ -72,7 +55,6 @@ impl RectUnion {
     pub fn push(&mut self, r: Rect) {
         if !r.is_degenerate() {
             self.rects.push(r);
-            self.edges = OnceLock::new();
         }
     }
 
@@ -117,74 +99,16 @@ impl RectUnion {
     // Boundary extraction
     // ------------------------------------------------------------------
 
-    /// All boundary edges of the union, as axis-aligned segments.
+    /// All boundary edges of the union, as axis-aligned segments:
+    /// vertical edges first, then horizontal ones, each by ascending line
+    /// and then ascending position along the line.
     ///
     /// An edge portion lies on the union boundary iff exactly one of its
     /// two sides is interior to the union. For each candidate grid line we
     /// build the interval sets covered on either side and keep their
     /// symmetric difference.
-    ///
-    /// Allocating wrapper over [`RectUnion::boundary_edges_cached`].
     pub fn boundary_edges(&self) -> Vec<Segment> {
-        self.boundary_edges_cached().to_vec()
-    }
-
-    /// The boundary edges, computed on first call and cached until the
-    /// next [`RectUnion::push`]. This is what the hot verification path
-    /// reads: repeated distance queries against an unchanged region cost
-    /// no sweeps and no allocation.
-    pub fn boundary_edges_cached(&self) -> &[Segment] {
-        self.edges.get_or_init(|| {
-            let mut out = Vec::new();
-            self.boundary_sweep(true, &mut out);
-            self.boundary_sweep(false, &mut out);
-            out
-        })
-    }
-
-    /// One sweep direction: `vertical = true` emits vertical edges
-    /// (candidate lines are x-coordinates), otherwise horizontal edges.
-    fn boundary_sweep(&self, vertical: bool, out: &mut Vec<Segment>) {
-        let mut coords: Vec<f64> = self
-            .rects
-            .iter()
-            .flat_map(|r| {
-                if vertical {
-                    [r.x1, r.x2]
-                } else {
-                    [r.y1, r.y2]
-                }
-            })
-            .collect();
-        coords.sort_by(f64::total_cmp);
-        coords.dedup_by(|a, b| (*a - *b).abs() <= EPSILON);
-
-        for &c in &coords {
-            let mut before = Vec::new(); // interior just below / left of the line
-            let mut after = Vec::new(); // interior just above / right of the line
-            for r in &self.rects {
-                let (fixed_lo, fixed_hi, free_lo, free_hi) = if vertical {
-                    (r.x1, r.x2, r.y1, r.y2)
-                } else {
-                    (r.y1, r.y2, r.x1, r.x2)
-                };
-                if fixed_lo + EPSILON < c && fixed_hi >= c - EPSILON {
-                    before.push((free_lo, free_hi));
-                }
-                if fixed_hi - EPSILON > c && fixed_lo <= c + EPSILON {
-                    after.push((free_lo, free_hi));
-                }
-            }
-            let before = IntervalSet::from_intervals(before);
-            let after = IntervalSet::from_intervals(after);
-            for &(lo, hi) in before.symmetric_difference(&after).runs() {
-                out.push(if vertical {
-                    Segment::vertical(c, lo, hi)
-                } else {
-                    Segment::horizontal(c, lo, hi)
-                });
-            }
-        }
+        sweep::boundary_edges(&self.rects)
     }
 
     /// Distance from `p` to the nearest boundary edge, together with that
@@ -193,11 +117,14 @@ impl RectUnion {
     /// When `p` is inside the union this is the verification radius of
     /// Lemma 3.1: every POI closer to `p` than this distance is a
     /// guaranteed (verified) nearest neighbor.
+    ///
+    /// The result is the first edge of minimum distance in
+    /// [`RectUnion::boundary_edges`] order, but the sweep visits candidate
+    /// lines nearest-first and stops once a line is farther than the best
+    /// edge found, so it builds only the lines near `p` and allocates
+    /// nothing once warm.
     pub fn distance_to_boundary(&self, p: Point) -> Option<(f64, Segment)> {
-        self.boundary_edges_cached()
-            .iter()
-            .map(|&s| (s.distance_to_point(p), s))
-            .min_by(|a, b| a.0.total_cmp(&b.0))
+        sweep::nearest_edge(&self.rects, p)
     }
 
     // ------------------------------------------------------------------
@@ -207,33 +134,14 @@ impl RectUnion {
     /// Decomposes the union into disjoint rectangles via a vertical-slab
     /// sweep. The output rectangles tile the union exactly (shared borders
     /// only) and are convenient for exact area integrals.
+    /// Slabs run left to right and tiles bottom to top within a slab.
     pub fn disjoint_rects(&self) -> Vec<Rect> {
-        let mut xs: Vec<f64> = self.rects.iter().flat_map(|r| [r.x1, r.x2]).collect();
-        xs.sort_by(f64::total_cmp);
-        xs.dedup_by(|a, b| (*a - *b).abs() <= EPSILON);
-
-        let mut out = Vec::new();
-        for w in xs.windows(2) {
-            let (xa, xb) = (w[0], w[1]);
-            if xb - xa <= EPSILON {
-                continue;
-            }
-            let covered = IntervalSet::from_intervals(
-                self.rects
-                    .iter()
-                    .filter(|r| r.x1 <= xa + EPSILON && r.x2 >= xb - EPSILON)
-                    .map(|r| (r.y1, r.y2)),
-            );
-            for &(lo, hi) in covered.runs() {
-                out.push(Rect::from_coords(xa, lo, xb, hi));
-            }
-        }
-        out
+        sweep::with_tiles(&self.rects, |tiles| tiles.collect())
     }
 
     /// Exact area of the union.
     pub fn area(&self) -> f64 {
-        self.disjoint_rects().iter().map(Rect::area).sum()
+        sweep::with_tiles(&self.rects, |tiles| tiles.map(|r| r.area()).sum())
     }
 
     // ------------------------------------------------------------------
@@ -253,62 +161,17 @@ impl RectUnion {
         if w.is_degenerate() {
             return Vec::new();
         }
-        let mut xs: Vec<f64> = vec![w.x1, w.x2];
-        for r in &self.rects {
-            if r.intersects_interior(w) {
-                if r.x1 > w.x1 && r.x1 < w.x2 {
-                    xs.push(r.x1);
-                }
-                if r.x2 > w.x1 && r.x2 < w.x2 {
-                    xs.push(r.x2);
-                }
-            }
-        }
-        xs.sort_by(f64::total_cmp);
-        xs.dedup_by(|a, b| (*a - *b).abs() <= EPSILON);
-
-        let full = IntervalSet::single(w.y1, w.y2);
-        let mut out: Vec<Rect> = Vec::new();
-        // Open rectangles being extended across slabs, keyed by y-run.
-        let mut open: Vec<(f64, f64, usize)> = Vec::new(); // (ylo, yhi, index in out)
-        for win in xs.windows(2) {
-            let (xa, xb) = (win[0], win[1]);
-            if xb - xa <= EPSILON {
-                continue;
-            }
-            let covered = IntervalSet::from_intervals(
-                self.rects
-                    .iter()
-                    .filter(|r| r.x1 <= xa + EPSILON && r.x2 >= xb - EPSILON)
-                    .map(|r| (r.y1, r.y2)),
-            );
-            let uncovered = full.difference(&covered);
-            let mut next_open = Vec::with_capacity(uncovered.runs().len());
-            for &(lo, hi) in uncovered.runs() {
-                // Extend an open rect with the same y-run, else start one.
-                if let Some(&(plo, phi, idx)) = open
-                    .iter()
-                    .find(|&&(plo, phi, _)| (plo - lo).abs() <= EPSILON && (phi - hi).abs() <= EPSILON)
-                {
-                    out[idx].x2 = xb;
-                    next_open.push((plo, phi, idx));
-                } else {
-                    out.push(Rect::from_coords(xa, lo, xb, hi));
-                    next_open.push((lo, hi, out.len() - 1));
-                }
-            }
-            open = next_open;
-        }
-        out
+        sweep::rect_difference(&self.rects, w)
     }
 
     /// Intersection of the union with `w`, as disjoint rectangles.
     pub fn rect_intersection(&self, w: &Rect) -> Vec<Rect> {
-        self.disjoint_rects()
-            .into_iter()
-            .filter_map(|r| r.intersection(w))
-            .filter(|r| !r.is_degenerate())
-            .collect()
+        sweep::with_tiles(&self.rects, |tiles| {
+            tiles
+                .filter_map(|r| r.intersection(w))
+                .filter(|r| !r.is_degenerate())
+                .collect()
+        })
     }
 
     // ------------------------------------------------------------------
@@ -557,19 +420,16 @@ mod tests {
     }
 
     #[test]
-    fn boundary_cache_invalidates_on_push() {
+    fn push_extends_the_boundary() {
         let mut u = RectUnion::from(r(0.0, 0.0, 1.0, 1.0));
-        let perimeter: f64 = u.boundary_edges_cached().iter().map(Segment::len).sum();
+        let perimeter: f64 = u.boundary_edges().iter().map(Segment::len).sum();
         assert!(approx_eq(perimeter, 4.0));
-        // Extending the union must drop the cached edges: the fused shape
-        // is a 2x1 box with perimeter 6, not two unit boxes.
+        // The fused shape is a 2x1 box with perimeter 6, not two unit boxes.
         u.push(r(1.0, 0.0, 2.0, 1.0));
-        let perimeter: f64 = u.boundary_edges_cached().iter().map(Segment::len).sum();
+        let perimeter: f64 = u.boundary_edges().iter().map(Segment::len).sum();
         assert!(approx_eq(perimeter, 6.0));
-        // Clones carry a still-valid cache.
-        let c = u.clone();
-        let cloned: f64 = c.boundary_edges_cached().iter().map(Segment::len).sum();
-        assert!(approx_eq(cloned, 6.0));
+        let (d, _) = u.distance_to_boundary(Point::new(1.0, 0.5)).unwrap();
+        assert!(approx_eq(d, 0.5));
     }
 
     #[test]
