@@ -5,11 +5,12 @@
 //! (the MVR operations NNV leans on), NNV itself at growing peer counts,
 //! R-tree vs linear scan, and the on-air client protocol.
 
-use airshare_broadcast::{AirIndex, OnAirClient, Poi, Schedule};
+use airshare_broadcast::{AirIndex, OnAirClient, Poi, QueryScratch, Schedule};
 use airshare_core::{nnv, MergedRegion};
 use airshare_geom::disk::{disk_region_area, Disk};
 use airshare_geom::{Point, Rect, RectUnion};
 use airshare_hilbert::{CellRect, Grid, HilbertCurve};
+use airshare_obs::NoopRecorder;
 use airshare_rtree::{LinearScan, RTree};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
@@ -197,14 +198,23 @@ fn bench_onair(c: &mut Criterion) {
         let mut t = 0u64;
         b.iter(|| {
             t += 37;
-            black_box(client.knn(t, q, 5))
+            black_box(client.knn(t, q, 5, &mut QueryScratch::new(), &mut NoopRecorder))
         })
     });
     g.bench_function("knn5_filtered", |b| {
         let mut t = 0u64;
         b.iter(|| {
             t += 37;
-            black_box(client.knn_filtered(t, q, 5, &[], Some(0.3), Some(1.0)))
+            black_box(client.knn_filtered(
+                t,
+                q,
+                5,
+                &[],
+                Some(0.3),
+                Some(1.0),
+                &mut QueryScratch::new(),
+                &mut NoopRecorder,
+            ))
         })
     });
     g.bench_function("window_1pct", |b| {
@@ -213,7 +223,7 @@ fn bench_onair(c: &mut Criterion) {
         let mut t = 0u64;
         b.iter(|| {
             t += 37;
-            black_box(client.window(t, &w))
+            black_box(client.window(t, &w, &mut QueryScratch::new(), &mut NoopRecorder))
         })
     });
     g.finish();

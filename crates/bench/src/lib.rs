@@ -727,9 +727,10 @@ pub struct MSweepRow {
 /// Sweeps the `(1, m)` replication factor on a static channel (no
 /// mobility needed), reproducing the Figure 2 trade-off.
 pub fn m_sweep() -> Vec<MSweepRow> {
-    use airshare_broadcast::{AirIndex, OnAirClient, Poi, Schedule};
+    use airshare_broadcast::{AirIndex, OnAirClient, Poi, QueryScratch, Schedule};
     use airshare_geom::{Point, Rect};
     use airshare_hilbert::Grid;
+    use airshare_obs::NoopRecorder;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -758,10 +759,13 @@ pub fn m_sweep() -> Vec<MSweepRow> {
         let cycle = schedule.cycle_len();
         let samples = 512u64;
         let (mut probe, mut lat, mut tun) = (0u64, 0u64, 0u64);
+        let mut scratch = QueryScratch::new();
         for i in 0..samples {
             let t = i * cycle / samples;
             probe += schedule.next_index_start(t) - t;
-            let res = client.knn(t, q, 5).expect("enough POIs");
+            let res = client
+                .knn(t, q, 5, &mut scratch, &mut NoopRecorder)
+                .expect("enough POIs");
             lat += res.stats.latency;
             tun += res.stats.tuning;
         }

@@ -6,9 +6,11 @@
 //! to the concrete static-dispatch path.
 
 use airshare_broadcast::{
-    AirIndex, AirIndexBackend, BuildParams, OnAirClient, Poi, PoiTable, RtreeAirIndex, Schedule,
+    AirIndex, AirIndexBackend, BuildParams, OnAirClient, Poi, PoiTable, QueryScratch,
+    RtreeAirIndex, Schedule,
 };
 use airshare_geom::{Point, Rect};
+use airshare_obs::NoopRecorder;
 use proptest::prelude::*;
 
 const SIDE: f64 = 32.0;
@@ -58,13 +60,14 @@ proptest! {
         cap in 1usize..16,
         tune in 0u64..2_000,
     ) {
+        let mut scratch = QueryScratch::new();
         prop_assume!(coords.len() >= k);
         let (hilbert, rtree, hs, rs) = build_pair(&coords, cap, 4);
         let hc = OnAirClient::new(&hilbert, &hs);
         let rc = OnAirClient::new(&rtree, &rs);
         let q = Point::new(qx, qy);
-        let hres = hc.knn(tune, q, k).expect("enough POIs");
-        let rres = rc.knn(tune, q, k).expect("enough POIs");
+        let hres = hc.knn(tune, q, k, &mut scratch, &mut NoopRecorder).expect("enough POIs");
+        let rres = rc.knn(tune, q, k, &mut scratch, &mut NoopRecorder).expect("enough POIs");
         prop_assert_eq!(hres.neighbors.len(), rres.neighbors.len());
         let mut hd: Vec<f64> = hres.neighbors.iter().map(|p| p.distance_to(q)).collect();
         let mut rd: Vec<f64> = rres.neighbors.iter().map(|p| p.distance_to(q)).collect();
@@ -84,12 +87,15 @@ proptest! {
         cap in 1usize..16,
         tune in 0u64..2_000,
     ) {
+        let mut scratch = QueryScratch::new();
         let (hilbert, rtree, hs, rs) = build_pair(&coords, cap, 2);
         let hc = OnAirClient::new(&hilbert, &hs);
         let rc = OnAirClient::new(&rtree, &rs);
         let w = Rect::from_coords(wx, wy, wx + ww, wy + wh);
-        let mut hids: Vec<u32> = hc.window(tune, &w).pois.iter().map(|p| p.id).collect();
-        let mut rids: Vec<u32> = rc.window(tune, &w).pois.iter().map(|p| p.id).collect();
+        let hw = hc.window(tune, &w, &mut scratch, &mut NoopRecorder);
+        let mut hids: Vec<u32> = hw.pois.iter().map(|p| p.id).collect();
+        let rw = rc.window(tune, &w, &mut scratch, &mut NoopRecorder);
+        let mut rids: Vec<u32> = rw.pois.iter().map(|p| p.id).collect();
         hids.sort_unstable();
         rids.sort_unstable();
         prop_assert_eq!(hids, rids);
@@ -107,6 +113,7 @@ proptest! {
         tune in 0u64..2_000,
         ww in 0.1..4.0f64, wh in 0.1..4.0f64,
     ) {
+        let mut scratch = QueryScratch::new();
         prop_assume!(coords.len() >= k);
         let p = params(cap);
         let index = <AirIndex as AirIndexBackend>::try_build(&pois(&coords), &p).unwrap();
@@ -115,8 +122,8 @@ proptest! {
         let erased = concrete.as_dyn();
         let q = Point::new(qx, qy);
 
-        let a = concrete.knn(tune, q, k).expect("enough POIs");
-        let b = erased.knn(tune, q, k).expect("enough POIs");
+        let a = concrete.knn(tune, q, k, &mut scratch, &mut NoopRecorder).expect("enough POIs");
+        let b = erased.knn(tune, q, k, &mut scratch, &mut NoopRecorder).expect("enough POIs");
         prop_assert_eq!(a.stats.latency, b.stats.latency);
         prop_assert_eq!(a.stats.tuning, b.stats.tuning);
         prop_assert_eq!(a.stats.buckets, b.stats.buckets);
@@ -125,8 +132,8 @@ proptest! {
         prop_assert_eq!(aid, bid);
 
         let w = Rect::from_coords(qx.min(SIDE - ww), qy.min(SIDE - wh), qx.min(SIDE - ww) + ww, qy.min(SIDE - wh) + wh);
-        let wa = concrete.window(tune, &w);
-        let wb = erased.window(tune, &w);
+        let wa = concrete.window(tune, &w, &mut scratch, &mut NoopRecorder);
+        let wb = erased.window(tune, &w, &mut scratch, &mut NoopRecorder);
         prop_assert_eq!(wa.stats.latency, wb.stats.latency);
         prop_assert_eq!(wa.stats.tuning, wb.stats.tuning);
         prop_assert_eq!(wa.stats.buckets, wb.stats.buckets);

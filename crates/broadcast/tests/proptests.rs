@@ -5,9 +5,10 @@
 use airshare_broadcast::wire::{
     decode_bucket, encode_bucket, frame_payload, verify_payload, WireError,
 };
-use airshare_broadcast::{AirIndex, OnAirClient, Poi, Schedule};
+use airshare_broadcast::{AirIndex, OnAirClient, Poi, QueryScratch, Schedule};
 use airshare_geom::{Point, Rect};
 use airshare_hilbert::Grid;
+use airshare_obs::NoopRecorder;
 use proptest::prelude::*;
 
 const SIDE: f64 = 32.0;
@@ -78,11 +79,12 @@ proptest! {
         cap in 1usize..16,
         tune in 0u64..2_000,
     ) {
+        let mut scratch = QueryScratch::new();
         let (index, schedule) = build(&coords, cap, 4);
         let client = OnAirClient::new(&index, &schedule);
         let q = Point::new(qx, qy);
         prop_assume!(coords.len() >= k);
-        let res = client.knn(tune, q, k).expect("enough POIs");
+        let res = client.knn(tune, q, k, &mut scratch, &mut NoopRecorder).expect("enough POIs");
         let mut dists: Vec<f64> = coords
             .iter()
             .map(|&(x, y)| Point::new(x, y).distance(q))
@@ -107,10 +109,11 @@ proptest! {
         cap in 1usize..16,
         tune in 0u64..2_000,
     ) {
+        let mut scratch = QueryScratch::new();
         let (index, schedule) = build(&coords, cap, 2);
         let client = OnAirClient::new(&index, &schedule);
         let w = Rect::from_coords(wx, wy, wx + ww, wy + wh);
-        let res = client.window(tune, &w);
+        let res = client.window(tune, &w, &mut scratch, &mut NoopRecorder);
         let mut got: Vec<u32> = res.pois.iter().map(|p| p.id).collect();
         got.sort_unstable();
         let mut want: Vec<u32> = coords
@@ -179,6 +182,7 @@ proptest! {
         k in 1usize..6,
         inner in 0.0..10.0f64,
     ) {
+        let mut scratch = QueryScratch::new();
         prop_assume!(coords.len() >= k);
         let (index, schedule) = build(&coords, 4, 4);
         let client = OnAirClient::new(&index, &schedule);
@@ -190,9 +194,9 @@ proptest! {
             .filter(|(_, &(x, y))| Point::new(x, y).distance(q) <= inner)
             .map(|(i, &(x, y))| Poi::new(i as u32, Point::new(x, y)))
             .collect();
-        let cold = client.knn(0, q, k).expect("enough POIs");
+        let cold = client.knn(0, q, k, &mut scratch, &mut NoopRecorder).expect("enough POIs");
         let filt = client
-            .knn_filtered(0, q, k, &known, Some(inner), None)
+            .knn_filtered(0, q, k, &known, Some(inner), None, &mut scratch, &mut NoopRecorder)
             .expect("enough POIs");
         for (a, b) in cold.neighbors.iter().zip(&filt.neighbors) {
             prop_assert!((a.distance_to(q) - b.distance_to(q)).abs() < 1e-9);

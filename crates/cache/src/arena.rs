@@ -93,12 +93,7 @@ impl<'a> EntryView<'a> {
     /// resolvable, every resolved position inside the region.
     pub fn is_consistent(&self, table: &PoiTable) -> bool {
         let r = &self.vr;
-        r.x1.is_finite()
-            && r.y1.is_finite()
-            && r.x2.is_finite()
-            && r.y2.is_finite()
-            && r.x1 <= r.x2
-            && r.y1 <= r.y2
+        r.is_well_formed()
             && self
                 .poi_ids
                 .iter()

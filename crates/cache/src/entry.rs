@@ -49,14 +49,7 @@ impl RegionEntry {
     /// its claim of completeness is unfalsifiable but its claim of
     /// containment is checkably false.
     pub fn is_consistent(&self) -> bool {
-        let r = &self.vr;
-        r.x1.is_finite()
-            && r.y1.is_finite()
-            && r.x2.is_finite()
-            && r.y2.is_finite()
-            && r.x1 <= r.x2
-            && r.y1 <= r.y2
-            && self.pois.iter().all(|p| r.contains(p.pos))
+        self.vr.is_well_formed() && self.pois.iter().all(|p| self.vr.contains(p.pos))
     }
 
     /// Number of POIs carried.

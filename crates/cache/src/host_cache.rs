@@ -13,7 +13,7 @@
 use crate::{EntryArena, EntryId, EntryView, RegionEntry, ReplacementPolicy};
 use airshare_broadcast::{Poi, PoiCategory, PoiId, PoiTable};
 use airshare_geom::{Point, Rect};
-use airshare_obs::{CacheRejectReason, NoopRecorder, Recorder, TraceEvent};
+use airshare_obs::{CacheRejectReason, Recorder, TraceEvent};
 
 /// What [`HostCache::insert`] did with the offered entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -210,17 +210,6 @@ impl HostCache {
         crate::HostCacheRef::new(self, table)
     }
 
-    /// The verified regions currently cached for a category, resolved to
-    /// owned [`RegionEntry`] values through `table`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "POI payloads live in the PoiTable now; iterate `entries()` \
-                or use `with_table(...)` (HostCacheRef) to resolve handles"
-    )]
-    pub fn regions(&self, table: &PoiTable, category: PoiCategory) -> Vec<RegionEntry> {
-        self.entries(category).map(|v| v.resolve(table)).collect()
-    }
-
     /// Inserts a verified entry for `category`, evicting per policy until
     /// the capacity holds. An entry larger than the whole capacity is
     /// shrunk around the host position first.
@@ -232,24 +221,15 @@ impl HostCache {
     /// An entry that violates the containment invariant — a malformed
     /// region, or POIs outside the claimed rectangle — is rejected: a
     /// cache holding it would certify wrong answers and poison every peer
-    /// it shares with. The outcome reports which path was taken.
-    pub fn insert(
-        &mut self,
-        category: PoiCategory,
-        entry: RegionEntry,
-        ctx: &CacheContext,
-    ) -> InsertOutcome {
-        self.insert_rec(category, entry, ctx, &mut NoopRecorder)
-    }
-
-    /// [`Self::insert`], tracing a refused admission into `rec` with its
+    /// it shares with. The outcome reports which path was taken, and a
+    /// refused admission is traced into `rec` with its
     /// [`CacheRejectReason`]. Successful stores emit nothing here — the
     /// query layer already traced the data's origin.
     ///
     /// The entry's POIs are interned down to [`PoiId`] handles on store;
     /// the consistency check and capacity shrink run on the carried
     /// positions first, exactly as before the handle refactor.
-    pub fn insert_rec(
+    pub fn insert(
         &mut self,
         category: PoiCategory,
         entry: RegionEntry,
@@ -284,26 +264,14 @@ impl HostCache {
     /// Handle-native insert: stores a verified region given directly as
     /// `(vr, poi handles)`, validating and (if oversized) shrinking
     /// against the canonical `table` instead of carried positions.
+    /// Refused admissions are traced into `rec`.
     ///
     /// Allocation-free once the cache is warm — this is the path the
     /// zero-steady-state-allocation guarantee is measured on. Behavior
-    /// matches [`Self::insert_rec`] fed the resolved entry: the two paths
+    /// matches [`Self::insert`] fed the resolved entry: the two paths
     /// run the same subsume/evict/shrink arithmetic.
-    pub fn insert_ids(
-        &mut self,
-        table: &PoiTable,
-        category: PoiCategory,
-        vr: Rect,
-        ids: &[PoiId],
-        now: f64,
-        ctx: &CacheContext,
-    ) -> InsertOutcome {
-        self.insert_ids_rec(table, category, vr, ids, now, ctx, &mut NoopRecorder)
-    }
-
-    /// [`Self::insert_ids`], tracing refused admissions into `rec`.
     #[allow(clippy::too_many_arguments)]
-    pub fn insert_ids_rec(
+    pub fn insert_ids(
         &mut self,
         table: &PoiTable,
         category: PoiCategory,
@@ -313,16 +281,10 @@ impl HostCache {
         ctx: &CacheContext,
         rec: &mut dyn Recorder,
     ) -> InsertOutcome {
-        let well_formed = vr.x1.is_finite()
-            && vr.y1.is_finite()
-            && vr.x2.is_finite()
-            && vr.y2.is_finite()
-            && vr.x1 <= vr.x2
-            && vr.y1 <= vr.y2;
         let contained = ids
             .iter()
             .all(|&id| table.get(id).is_some_and(|p| vr.contains(p.pos)));
-        if !well_formed || !contained {
+        if !vr.is_well_formed() || !contained {
             rec.record(TraceEvent::CacheRejected {
                 reason: CacheRejectReason::Inconsistent,
             });
@@ -478,21 +440,6 @@ impl HostCache {
         }
     }
 
-    /// The share snapshot as owned `(region, POIs)` pairs, resolved
-    /// through `table`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "peers exchange PoiId handles now; use `share_regions()` \
-                or `with_table(...).share_snapshot(...)`"
-    )]
-    pub fn share_snapshot(
-        &self,
-        table: &PoiTable,
-        category: PoiCategory,
-    ) -> Vec<(Rect, Vec<Poi>)> {
-        self.with_table(table).share_snapshot(category)
-    }
-
     /// Drops everything (e.g. on simulation reset).
     pub fn clear(&mut self) {
         self.cats.clear();
@@ -503,8 +450,19 @@ impl HostCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airshare_obs::NoopRecorder;
 
     const CAT: PoiCategory = PoiCategory::GAS_STATION;
+
+    /// Untraced insert.
+    fn put(
+        c: &mut HostCache,
+        cat: PoiCategory,
+        e: RegionEntry,
+        at: &CacheContext,
+    ) -> InsertOutcome {
+        c.insert(cat, e, at, &mut NoopRecorder)
+    }
 
     fn ctx(x: f64, y: f64) -> CacheContext {
         CacheContext {
@@ -532,8 +490,8 @@ mod tests {
     #[test]
     fn insert_within_capacity_keeps_everything() {
         let mut c = HostCache::new(10, ReplacementPolicy::default());
-        c.insert(CAT, entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
-        c.insert(CAT, entry(5.0, 0.0, 4, 10), &ctx(0.0, 0.0));
+        put(&mut c, CAT, entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
+        put(&mut c, CAT, entry(5.0, 0.0, 4, 10), &ctx(0.0, 0.0));
         assert_eq!(c.poi_count(CAT), 8);
         assert_eq!(c.region_count(CAT), 2);
     }
@@ -541,8 +499,8 @@ mod tests {
     #[test]
     fn eviction_respects_capacity() {
         let mut c = HostCache::new(6, ReplacementPolicy::DistanceOnly);
-        c.insert(CAT, entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
-        c.insert(CAT, entry(10.0, 0.0, 4, 10), &ctx(0.0, 0.0));
+        put(&mut c, CAT, entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
+        put(&mut c, CAT, entry(10.0, 0.0, 4, 10), &ctx(0.0, 0.0));
         assert!(c.poi_count(CAT) <= 6);
         // The far region was evicted? No: the far region was just
         // inserted (protected); the near one got evicted instead.
@@ -554,10 +512,10 @@ mod tests {
     fn direction_policy_evicts_region_behind() {
         let mut c = HostCache::new(8, ReplacementPolicy::DirectionDistance);
         // Host at origin heading east.
-        c.insert(CAT, entry(5.0, 0.0, 4, 0), &ctx(0.0, 0.0)); // ahead
-        c.insert(CAT, entry(-5.0, 0.0, 4, 10), &ctx(0.0, 0.0)); // behind
+        put(&mut c, CAT, entry(5.0, 0.0, 4, 0), &ctx(0.0, 0.0)); // ahead
+        put(&mut c, CAT, entry(-5.0, 0.0, 4, 10), &ctx(0.0, 0.0)); // behind
         // Third insert forces eviction of one old entry.
-        c.insert(CAT, entry(0.0, 3.0, 4, 20), &ctx(0.0, 0.0));
+        put(&mut c, CAT, entry(0.0, 3.0, 4, 20), &ctx(0.0, 0.0));
         assert!(c.poi_count(CAT) <= 8);
         assert!(covers(&c, 5.0, 0.0) && !covers(&c, -5.0, 0.0));
     }
@@ -565,7 +523,7 @@ mod tests {
     #[test]
     fn oversized_entry_is_shrunk_not_rejected() {
         let mut c = HostCache::new(5, ReplacementPolicy::default());
-        c.insert(CAT, entry(0.0, 0.0, 20, 0), &ctx(0.0, 0.0));
+        put(&mut c, CAT, entry(0.0, 0.0, 20, 0), &ctx(0.0, 0.0));
         assert!(c.poi_count(CAT) <= 5);
         assert_eq!(c.region_count(CAT), 1);
         // The shrunk region still covers the host's position (clamped).
@@ -585,8 +543,8 @@ mod tests {
             [Poi::new(0, Point::new(0.5, 0.5)), Poi::new(1, Point::new(1.5, 1.5))],
             1.0,
         );
-        c.insert(CAT, small, &ctx(0.0, 0.0));
-        c.insert(CAT, big, &ctx(0.0, 0.0));
+        put(&mut c, CAT, small, &ctx(0.0, 0.0));
+        put(&mut c, CAT, big, &ctx(0.0, 0.0));
         assert_eq!(c.region_count(CAT), 1);
         assert_eq!(c.poi_count(CAT), 2);
     }
@@ -594,8 +552,18 @@ mod tests {
     #[test]
     fn categories_are_isolated() {
         let mut c = HostCache::new(4, ReplacementPolicy::default());
-        c.insert(PoiCategory(0), entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
-        c.insert(PoiCategory(1), entry(5.0, 5.0, 4, 10), &ctx(0.0, 0.0));
+        put(
+            &mut c,
+            PoiCategory(0),
+            entry(0.0, 0.0, 4, 0),
+            &ctx(0.0, 0.0),
+        );
+        put(
+            &mut c,
+            PoiCategory(1),
+            entry(5.0, 5.0, 4, 10),
+            &ctx(0.0, 0.0),
+        );
         assert_eq!(c.poi_count(PoiCategory(0)), 4);
         assert_eq!(c.poi_count(PoiCategory(1)), 4);
     }
@@ -603,7 +571,7 @@ mod tests {
     #[test]
     fn zero_capacity_caches_nothing() {
         let mut c = HostCache::new(0, ReplacementPolicy::default());
-        let out = c.insert(CAT, entry(0.0, 0.0, 3, 0), &ctx(0.0, 0.0));
+        let out = put(&mut c, CAT, entry(0.0, 0.0, 3, 0), &ctx(0.0, 0.0));
         assert_eq!(out, InsertOutcome::RejectedNoCapacity);
         assert_eq!(c.poi_count(CAT), 0);
         assert_eq!(c.share_regions(CAT).count(), 0);
@@ -620,7 +588,7 @@ mod tests {
             last_used: 0.0,
         };
         assert!(!bad.is_consistent());
-        let out = c.insert(CAT, bad.clone(), &ctx(0.0, 0.0));
+        let out = put(&mut c, CAT, bad.clone(), &ctx(0.0, 0.0));
         assert_eq!(out, InsertOutcome::RejectedInconsistent);
         assert_eq!(c.region_count(CAT), 0);
 
@@ -637,13 +605,13 @@ mod tests {
             last_used: 0.0,
         };
         assert_eq!(
-            c.insert(CAT, nan, &ctx(0.0, 0.0)),
+            put(&mut c, CAT, nan, &ctx(0.0, 0.0)),
             InsertOutcome::RejectedInconsistent
         );
 
         // A proper entry still stores fine.
         assert_eq!(
-            c.insert(CAT, entry(0.0, 0.0, 2, 0), &ctx(0.0, 0.0)),
+            put(&mut c, CAT, entry(0.0, 0.0, 2, 0), &ctx(0.0, 0.0)),
             InsertOutcome::Stored
         );
         assert_eq!(c.region_count(CAT), 1);
@@ -659,7 +627,7 @@ mod tests {
                 .chain([Poi::new(9, Point::new(9.0, 9.0))]),
         );
         let mut c = HostCache::new(10, ReplacementPolicy::default());
-        c.insert(CAT, good, &ctx(0.0, 0.0));
+        put(&mut c, CAT, good, &ctx(0.0, 0.0));
         c.insert_unchecked(
             CAT,
             RegionEntry {
@@ -680,7 +648,7 @@ mod tests {
         let e = entry(2.0, 2.0, 3, 0);
         let table = PoiTable::from_pois(e.pois.iter().copied());
         let mut c = HostCache::new(10, ReplacementPolicy::default());
-        c.insert(CAT, e, &ctx(2.0, 2.0));
+        put(&mut c, CAT, e, &ctx(2.0, 2.0));
         let snap = c.with_table(&table).share_snapshot(CAT);
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].1.len(), 3);
@@ -696,14 +664,14 @@ mod tests {
     #[test]
     fn lru_touch_protects_hot_entries() {
         let mut c = HostCache::new(8, ReplacementPolicy::Lru);
-        c.insert(CAT, entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
-        c.insert(CAT, entry(10.0, 10.0, 4, 10), &ctx(0.0, 0.0));
+        put(&mut c, CAT, entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
+        put(&mut c, CAT, entry(10.0, 10.0, 4, 10), &ctx(0.0, 0.0));
         // Touch the first region, then overflow: second should go.
         let hot = Rect::centered_square(Point::new(0.0, 0.0), 0.5);
         c.touch(CAT, &hot, 5.0);
         let mut ctx2 = ctx(0.0, 0.0);
         ctx2.now = 6.0;
-        c.insert(CAT, entry(20.0, 20.0, 4, 20), &ctx2);
+        put(&mut c, CAT, entry(20.0, 20.0, 4, 20), &ctx2);
         assert!(covers(&c, 0.0, 0.0), "recently touched entry evicted under LRU");
     }
 
@@ -717,9 +685,22 @@ mod tests {
         let vr = Rect::from_coords(0.0, 0.0, 1.2, 1.0);
 
         let mut a = HostCache::new(5, ReplacementPolicy::default());
-        a.insert(CAT, RegionEntry::new(vr, pois.iter().copied(), 3.0), &ctx(0.6, 0.5));
+        put(
+            &mut a,
+            CAT,
+            RegionEntry::new(vr, pois.iter().copied(), 3.0),
+            &ctx(0.6, 0.5),
+        );
         let mut b = HostCache::new(5, ReplacementPolicy::default());
-        b.insert_ids(&table, CAT, vr, &ids, 3.0, &ctx(0.6, 0.5));
+        b.insert_ids(
+            &table,
+            CAT,
+            vr,
+            &ids,
+            3.0,
+            &ctx(0.6, 0.5),
+            &mut NoopRecorder,
+        );
 
         assert_eq!(a.region_count(CAT), b.region_count(CAT));
         let va = a.entries(CAT).next().unwrap();

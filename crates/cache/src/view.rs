@@ -88,6 +88,7 @@ mod tests {
     use super::*;
     use crate::{CacheContext, ReplacementPolicy};
     use airshare_geom::Point;
+    use airshare_obs::NoopRecorder;
 
     #[test]
     fn view_resolves_what_the_cache_stores() {
@@ -106,6 +107,7 @@ mod tests {
                 heading: None,
                 now: 0.0,
             },
+            &mut NoopRecorder,
         );
         let view = cache.with_table(&table);
         assert_eq!(view.region_count(CAT), 1);

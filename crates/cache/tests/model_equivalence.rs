@@ -18,6 +18,7 @@ use airshare_cache::{
     CacheContext, EntryArena, EntryId, HostCache, RegionEntry, ReplacementPolicy,
 };
 use airshare_geom::{Point, Rect};
+use airshare_obs::NoopRecorder;
 use proptest::prelude::*;
 
 const CAT: PoiCategory = PoiCategory::GAS_STATION;
@@ -194,7 +195,8 @@ proptest! {
                     heading: normalize(*heading),
                     now,
                 };
-                cache.insert(CAT, RegionEntry::new(vr, pois.iter().copied(), now), &ctx);
+                let entry = RegionEntry::new(vr, pois.iter().copied(), now);
+                cache.insert(CAT, entry, &ctx, &mut NoopRecorder);
                 reference.insert(RegionEntry::new(vr, pois.iter().copied(), now), &ctx);
             }
 

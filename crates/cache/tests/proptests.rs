@@ -5,6 +5,7 @@
 use airshare_broadcast::{Poi, PoiCategory, PoiTable};
 use airshare_cache::{CacheContext, HostCache, RegionEntry, ReplacementPolicy};
 use airshare_geom::{Point, Rect};
+use airshare_obs::NoopRecorder;
 use proptest::prelude::*;
 
 const CAT: PoiCategory = PoiCategory::GAS_STATION;
@@ -77,6 +78,7 @@ fn apply(cache: &mut HostCache, ins: &Insertion, id0: u32, now: f64) {
             heading: ins.heading,
             now,
         },
+        &mut NoopRecorder,
     );
 }
 

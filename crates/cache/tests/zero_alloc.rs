@@ -15,6 +15,7 @@
 use airshare_broadcast::{Poi, PoiCategory, PoiId, PoiTable};
 use airshare_cache::{CacheContext, HostCache, ReplacementPolicy};
 use airshare_geom::{Point, Rect};
+use airshare_obs::NoopRecorder;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -94,7 +95,7 @@ fn run_epoch(
             heading: Some((1.0, 0.0)),
             now,
         };
-        cache.insert_ids(table, CAT, *vr, ids, now, &ctx);
+        cache.insert_ids(table, CAT, *vr, ids, now, &ctx, &mut NoopRecorder);
         cache.touch(CAT, vr, now + 0.5);
         stored += cache.region_count(CAT);
     }

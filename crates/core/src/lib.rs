@@ -37,9 +37,9 @@ mod sbwq;
 pub use heap::{HeapState, NnCandidate, ResultHeap};
 pub use mvr::MergedRegion;
 pub use sbnn::{
-    candidate_unverified_area, nnv, nnv_in_domain, sbnn, sbnn_rec, ResolvedBy, SbnnConfig,
-    SbnnOutcome, SbnnResult, VrPolicy,
+    candidate_unverified_area, nnv, nnv_in_domain, sbnn, ResolvedBy, SbnnConfig, SbnnOutcome,
+    SbnnResult, VrPolicy,
 };
 pub use sbwq::{
-    adoptable_window_region, sbwq, sbwq_rec, window_coverage, SbwqConfig, SbwqOutcome, SbwqResult,
+    adoptable_window_region, sbwq, window_coverage, SbwqConfig, SbwqOutcome, SbwqResult,
 };

@@ -5,7 +5,7 @@ use crate::approx::{candidate_correctness, surpassing_ratio, unverified_area};
 use crate::{HeapState, MergedRegion, NnCandidate, ResultHeap};
 use airshare_broadcast::{AirIndexBackend, OnAirClient, Poi, QueryScratch};
 use airshare_geom::{Point, Rect};
-use airshare_obs::{AccessStats, NoopRecorder, Recorder, ResolutionKind, TraceEvent};
+use airshare_obs::{AccessStats, Recorder, ResolutionKind, TraceEvent};
 
 /// How a peer-answered query turns its verified ball into a cacheable
 /// rectangle.
@@ -250,22 +250,13 @@ fn nnv_detailed(
 /// `air` is the broadcast client plus the tick at which the host tunes
 /// in; pass `None` to model a host out of coverage (the outcome is then
 /// [`SbnnOutcome::Unresolved`] whenever peers cannot finish).
+///
+/// The channel fallback's protocol steps are traced into `rec`, and the
+/// terminal [`TraceEvent::QueryResolved`] (with the broadcast cost, or
+/// zeros for peer-resolved queries) is emitted whenever the outcome is
+/// resolved. Channel index work happens in `scratch`, so a per-worker
+/// scratch keeps the fallback path allocation-free on the index side.
 pub fn sbnn(
-    q: Point,
-    cfg: &SbnnConfig,
-    mvr: &MergedRegion,
-    air: Option<(&OnAirClient<'_, dyn AirIndexBackend + '_>, u64)>,
-) -> SbnnOutcome {
-    sbnn_rec(q, cfg, mvr, air, &mut QueryScratch::new(), &mut NoopRecorder)
-}
-
-/// [`sbnn`], tracing the channel fallback's protocol steps into `rec`
-/// and emitting the terminal [`TraceEvent::QueryResolved`] (with the
-/// broadcast cost, or zeros for peer-resolved queries) whenever the
-/// outcome is resolved. Channel index work happens in `scratch`, so a
-/// per-worker scratch keeps the fallback path allocation-free on the
-/// index side.
-pub fn sbnn_rec(
     q: Point,
     cfg: &SbnnConfig,
     mvr: &MergedRegion,
@@ -326,9 +317,9 @@ fn sbnn_inner(
         (None, None)
     };
     let result =
-        match client.knn_filtered_rec(tune_in, q, cfg.k, mvr.pois(), inner, outer, scratch, rec) {
+        match client.knn_filtered(tune_in, q, cfg.k, mvr.pois(), inner, outer, scratch, rec) {
             Some(r) => Some(r),
-            None => client.knn_rec(tune_in, q, cfg.k, scratch, rec),
+            None => client.knn(tune_in, q, cfg.k, scratch, rec),
         };
     let Some(res) = result else {
         // Fewer than k POIs exist in the whole dataset.
@@ -393,6 +384,7 @@ pub fn candidate_unverified_area(q: Point, dist: f64, mvr: &MergedRegion) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airshare_obs::NoopRecorder;
 
     /// A merged region from explicit (VR, POI) pairs.
     fn region(rects: &[Rect], pois: &[(u32, f64, f64)]) -> MergedRegion {
@@ -411,6 +403,18 @@ mod tests {
             })
             .collect();
         MergedRegion::from_regions(pairs)
+    }
+
+    /// SBNN with no channel: peer knowledge only.
+    fn sbnn_offline(q: Point, cfg: &SbnnConfig, mvr: &MergedRegion) -> SbnnOutcome {
+        sbnn(
+            q,
+            cfg,
+            mvr,
+            None,
+            &mut QueryScratch::new(),
+            &mut NoopRecorder,
+        )
     }
 
     #[test]
@@ -461,7 +465,7 @@ mod tests {
             &[(1, 0.5, 0.0), (2, 0.0, 1.0), (3, -2.0, 0.0)],
         );
         let cfg = SbnnConfig::paper_defaults(3, 0.1);
-        let out = sbnn(Point::ORIGIN, &cfg, &mvr, None);
+        let out = sbnn_offline(Point::ORIGIN, &cfg, &mvr);
         let res = out.resolved().expect("resolved");
         assert_eq!(res.resolved_by, ResolvedBy::PeersVerified);
         assert_eq!(res.neighbors.len(), 3);
@@ -487,17 +491,17 @@ mod tests {
             &[(1, 0.5, 0.0), (2, 1.9, 1.9)],
         );
         let mut cfg = SbnnConfig::paper_defaults(2, 0.001);
-        let out = sbnn(Point::ORIGIN, &cfg, &mvr, None);
+        let out = sbnn_offline(Point::ORIGIN, &cfg, &mvr);
         let res = out.resolved().expect("approximate accept");
         assert_eq!(res.resolved_by, ResolvedBy::PeersApproximate);
         // With a brutal threshold the same query is unresolved.
         cfg.min_correctness = 0.999999;
-        let out2 = sbnn(Point::ORIGIN, &cfg, &mvr, None);
+        let out2 = sbnn_offline(Point::ORIGIN, &cfg, &mvr);
         assert!(matches!(out2, SbnnOutcome::Unresolved(_)));
         // With approximation disabled, also unresolved.
         cfg.min_correctness = 0.0;
         cfg.accept_approx = false;
-        let out3 = sbnn(Point::ORIGIN, &cfg, &mvr, None);
+        let out3 = sbnn_offline(Point::ORIGIN, &cfg, &mvr);
         assert!(matches!(out3, SbnnOutcome::Unresolved(_)));
     }
 
@@ -511,7 +515,7 @@ mod tests {
             accept_approx: false,
             ..SbnnConfig::paper_defaults(5, 0.1)
         };
-        match sbnn(Point::ORIGIN, &cfg, &mvr, None) {
+        match sbnn_offline(Point::ORIGIN, &cfg, &mvr) {
             SbnnOutcome::Unresolved(h) => {
                 assert_eq!(h.len(), 1);
                 assert!(h.entries()[0].verified);

@@ -3,7 +3,7 @@
 use crate::MergedRegion;
 use airshare_broadcast::{AirIndexBackend, OnAirClient, Poi, QueryScratch};
 use airshare_geom::{Rect, RectUnion};
-use airshare_obs::{AccessStats, NoopRecorder, Recorder, TraceEvent};
+use airshare_obs::{AccessStats, Recorder, TraceEvent};
 
 use crate::ResolvedBy;
 
@@ -74,22 +74,13 @@ impl SbwqOutcome {
 ///    `w` (exact, `PeersVerified`).
 /// 3. Otherwise compute the reduced windows `w′ = w \ MVR` and fetch only
 ///    those on air, merging with the POIs already known in `w ∩ MVR`.
+///
+/// The channel fallback's protocol steps are traced into `rec`, and the
+/// terminal [`TraceEvent::QueryResolved`] (with the broadcast cost, or
+/// zeros for peer-resolved queries) is emitted whenever the outcome is
+/// resolved. Channel index work happens in `scratch`, so a per-worker
+/// scratch keeps the fallback path allocation-free on the index side.
 pub fn sbwq(
-    w: &Rect,
-    cfg: &SbwqConfig,
-    mvr: &MergedRegion,
-    air: Option<(&OnAirClient<'_, dyn AirIndexBackend + '_>, u64)>,
-) -> SbwqOutcome {
-    sbwq_rec(w, cfg, mvr, air, &mut QueryScratch::new(), &mut NoopRecorder)
-}
-
-/// [`sbwq`], tracing the channel fallback's protocol steps into `rec`
-/// and emitting the terminal [`TraceEvent::QueryResolved`] (with the
-/// broadcast cost, or zeros for peer-resolved queries) whenever the
-/// outcome is resolved. Channel index work happens in `scratch`, so a
-/// per-worker scratch keeps the fallback path allocation-free on the
-/// index side.
-pub fn sbwq_rec(
     w: &Rect,
     cfg: &SbwqConfig,
     mvr: &MergedRegion,
@@ -146,11 +137,11 @@ fn sbwq_inner(
 
     let (fetched, reduced_windows) = if cfg.use_window_reduction {
         (
-            client.window_reduced_rec(tune_in, &missing, scratch, rec),
+            client.window_reduced(tune_in, &missing, scratch, rec),
             missing,
         )
     } else {
-        (client.window_rec(tune_in, w, scratch, rec), vec![*w])
+        (client.window(tune_in, w, scratch, rec), vec![*w])
     };
     let stats = fetched.stats;
 
@@ -195,6 +186,7 @@ pub fn window_coverage(w: &Rect, region: &RectUnion) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airshare_obs::NoopRecorder;
     use airshare_geom::Point;
 
     fn mvr(pairs: Vec<(Rect, Vec<Poi>)>) -> MergedRegion {
@@ -205,6 +197,18 @@ mod tests {
         Poi::new(id, Point::new(x, y))
     }
 
+    /// SBWQ with no channel: peer knowledge only.
+    fn sbwq_offline(w: &Rect, cfg: &SbwqConfig, mvr: &MergedRegion) -> SbwqOutcome {
+        sbwq(
+            w,
+            cfg,
+            mvr,
+            None,
+            &mut QueryScratch::new(),
+            &mut NoopRecorder,
+        )
+    }
+
     #[test]
     fn fully_covered_window_resolves_from_peers() {
         // Paper Figure 9, WQ1: the window falls inside the MVR.
@@ -213,7 +217,7 @@ mod tests {
             vec![poi(1, 2.0, 2.0), poi(4, 3.0, 3.0), poi(9, 9.0, 9.0)],
         )]);
         let w = Rect::from_coords(1.0, 1.0, 4.0, 4.0);
-        let res = sbwq(&w, &SbwqConfig::default(), &m, None)
+        let res = sbwq_offline(&w, &SbwqConfig::default(), &m)
             .resolved()
             .expect("covered window resolves");
         assert_eq!(res.resolved_by, ResolvedBy::PeersVerified);
@@ -230,7 +234,7 @@ mod tests {
             vec![poi(1, 1.0, 2.0)],
         )]);
         let w = Rect::from_coords(1.0, 1.0, 5.0, 3.0);
-        match sbwq(&w, &SbwqConfig::default(), &m, None) {
+        match sbwq_offline(&w, &SbwqConfig::default(), &m) {
             SbwqOutcome::Unresolved { partial, missing } => {
                 assert_eq!(partial.len(), 1);
                 assert!(!missing.is_empty());
@@ -245,7 +249,7 @@ mod tests {
     fn coverage_fraction_reported() {
         let m = mvr(vec![(Rect::from_coords(0.0, 0.0, 2.0, 2.0), vec![])]);
         let w = Rect::from_coords(0.0, 0.0, 4.0, 2.0);
-        match sbwq(&w, &SbwqConfig::default(), &m, None) {
+        match sbwq_offline(&w, &SbwqConfig::default(), &m) {
             SbwqOutcome::Unresolved { .. } => {}
             _ => panic!(),
         }
@@ -256,7 +260,7 @@ mod tests {
     fn empty_window_is_trivially_covered() {
         let m = mvr(vec![]);
         let w = Rect::from_coords(1.0, 1.0, 1.0, 5.0); // zero width
-        let res = sbwq(&w, &SbwqConfig::default(), &m, None)
+        let res = sbwq_offline(&w, &SbwqConfig::default(), &m)
             .resolved()
             .expect("degenerate window");
         assert!(res.pois.is_empty());

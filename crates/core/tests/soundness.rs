@@ -12,10 +12,13 @@
 //! * the broadcast fallback (with §3.3.3 bound filtering) is always
 //!   exact.
 
-use airshare_broadcast::{AirIndex, OnAirClient, Poi, PoiTable, Schedule};
-use airshare_core::{nnv, sbnn, sbwq, MergedRegion, ResolvedBy, SbnnConfig, SbwqConfig, SbwqOutcome};
+use airshare_broadcast::{AirIndex, OnAirClient, Poi, PoiTable, QueryScratch, Schedule};
+use airshare_core::{
+    nnv, sbnn, sbwq, MergedRegion, ResolvedBy, SbnnConfig, SbwqConfig, SbwqOutcome,
+};
 use airshare_geom::{Point, Rect};
 use airshare_hilbert::Grid;
+use airshare_obs::NoopRecorder;
 use airshare_p2p::PeerReply;
 use airshare_rtree::RTree;
 use proptest::prelude::*;
@@ -125,6 +128,7 @@ proptest! {
         tune_in in 0u64..500,
         filtering in any::<bool>(),
     ) {
+        let mut scratch = QueryScratch::new();
         let (pois, tree) = dataset(&coords);
         let index = AirIndex::try_build(pois.clone(), Grid::new(world(), 5), 4).unwrap();
         let schedule = Schedule::new(index.data_buckets(), index.index_buckets(), 4);
@@ -139,7 +143,8 @@ proptest! {
             use_bound_filtering: filtering,
             ..SbnnConfig::paper_defaults(k, 0.3)
         };
-        let res = sbnn(q, &cfg, &mvr, Some((&client.as_dyn(), tune_in)))
+        let air = Some((&client.as_dyn(), tune_in));
+        let res = sbnn(q, &cfg, &mvr, air, &mut scratch, &mut NoopRecorder)
             .resolved()
             .expect("with a channel, exact queries always resolve");
         let truth = tree.knn(q, k);
@@ -174,6 +179,7 @@ proptest! {
         tune_in in 0u64..500,
         reduction in any::<bool>(),
     ) {
+        let mut scratch = QueryScratch::new();
         let (pois, tree) = dataset(&coords);
         let index = AirIndex::try_build(pois.clone(), Grid::new(world(), 5), 4).unwrap();
         let schedule = Schedule::new(index.data_buckets(), index.index_buckets(), 4);
@@ -183,7 +189,8 @@ proptest! {
         let mvr = MergedRegion::from_replies(&replies, &table);
         let w = Rect::from_coords(wx, wy, wx + ww, wy + wh);
         let cfg = SbwqConfig { use_window_reduction: reduction };
-        let res = sbwq(&w, &cfg, &mvr, Some((&client.as_dyn(), tune_in)))
+        let air = Some((&client.as_dyn(), tune_in));
+        let res = sbwq(&w, &cfg, &mvr, air, &mut scratch, &mut NoopRecorder)
             .resolved()
             .expect("with a channel, window queries always resolve");
         let mut got: Vec<u32> = res.pois.iter().map(|p| p.id).collect();
@@ -207,12 +214,13 @@ proptest! {
         wx in 0.0..WORLD - 5.0, wy in 0.0..WORLD - 5.0,
         ww in 0.5..5.0f64, wh in 0.5..5.0f64,
     ) {
+        let mut scratch = QueryScratch::new();
         let (pois, tree) = dataset(&coords);
         let replies = consistent_replies(&pois, &vrs);
         let table = PoiTable::from_pois(pois.iter().copied());
         let mvr = MergedRegion::from_replies(&replies, &table);
         let w = Rect::from_coords(wx, wy, wx + ww, wy + wh);
-        match sbwq(&w, &SbwqConfig::default(), &mvr, None) {
+        match sbwq(&w, &SbwqConfig::default(), &mvr, None, &mut scratch, &mut NoopRecorder) {
             SbwqOutcome::Resolved(res) => {
                 // Fully covered: exact.
                 let mut got: Vec<u32> = res.pois.iter().map(|p| p.id).collect();

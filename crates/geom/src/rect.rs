@@ -100,6 +100,21 @@ impl Rect {
         Point::new((self.x1 + self.x2) * 0.5, (self.y1 + self.y2) * 0.5)
     }
 
+    /// All four coordinates are finite and the corners are ordered
+    /// (`x1 <= x2`, `y1 <= y2`). Constructors normalize their input, but
+    /// a rectangle that arrived over the wire (a peer reply) or was built
+    /// field by field can violate either condition. Zero-width and
+    /// zero-height rectangles are well formed.
+    #[inline]
+    pub fn is_well_formed(&self) -> bool {
+        self.x1.is_finite()
+            && self.y1.is_finite()
+            && self.x2.is_finite()
+            && self.y2.is_finite()
+            && self.x1 <= self.x2
+            && self.y1 <= self.y2
+    }
+
     /// The rectangle is degenerate (zero area) up to [`EPSILON`].
     #[inline]
     pub fn is_degenerate(&self) -> bool {
@@ -236,6 +251,20 @@ mod tests {
     fn new_normalizes_corner_order() {
         let a = Rect::new(Point::new(3.0, 4.0), Point::new(1.0, 2.0));
         assert_eq!(a, r(1.0, 2.0, 3.0, 4.0));
+    }
+
+    #[test]
+    fn well_formedness_rejects_non_finite_and_inverted_rects() {
+        let raw = |x1, y1, x2, y2| Rect { x1, y1, x2, y2 };
+        assert!(r(0.0, 0.0, 1.0, 1.0).is_well_formed());
+        // A point-degenerate rect is well formed (a zero-area region).
+        assert!(raw(2.0, 3.0, 2.0, 3.0).is_well_formed());
+        assert!(!raw(f64::NAN, 0.0, 1.0, 1.0).is_well_formed());
+        assert!(!raw(0.0, 0.0, 1.0, f64::NAN).is_well_formed());
+        assert!(!raw(f64::NEG_INFINITY, 0.0, 1.0, 1.0).is_well_formed());
+        assert!(!raw(0.0, 0.0, f64::INFINITY, 1.0).is_well_formed());
+        assert!(!raw(1.0, 0.0, 0.0, 1.0).is_well_formed());
+        assert!(!raw(0.0, 1.0, 1.0, 0.0).is_well_formed());
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //!   Lemma 3.2.
 //! * [`RectUnion::covers_rect`] / [`RectUnion::rect_difference`] — window
 //!   coverage and window reduction `w → w′` for SBWQ.
-//! * [`RectUnion::largest_inscribed_square`] — a sound verified region a
-//!   host may adopt for its own cache after answering a query from peers.
 
 use crate::sweep;
 use crate::{Point, Rect, Segment, EPSILON};
@@ -172,49 +170,6 @@ impl RectUnion {
                 .filter(|r| !r.is_degenerate())
                 .collect()
         })
-    }
-
-    // ------------------------------------------------------------------
-    // Inscribed verified regions
-    // ------------------------------------------------------------------
-
-    /// The largest axis-aligned square centred on `p` that fits inside the
-    /// union, found by binary search on the half-side up to `max_half`.
-    /// Returns `None` when `p` is not inside the union (no such square).
-    ///
-    /// Used when a host answers a query purely from peers: every POI
-    /// inside the MVR is known to the host, so any sub-rectangle of the
-    /// MVR is a *sound* verified region for its own cache.
-    pub fn largest_inscribed_square(&self, p: Point, max_half: f64) -> Option<Rect> {
-        if !self.contains(p) || max_half <= 0.0 {
-            return None;
-        }
-        // Fast path: the boundary distance bounds the inscribed square;
-        // a square of half-side h fits iff all of it is covered, and it
-        // certainly fits when h ≤ d/√2 … but coverage is not monotone in
-        // a simple closed form, so binary search on the coverage test.
-        let (d, _) = self.distance_to_boundary(p)?;
-        if d <= EPSILON {
-            return None;
-        }
-        let mut lo = 0.0_f64; // known to fit (degenerate)
-        let mut hi = max_half.min(
-            self.mbr()
-                .map(|m| m.width().max(m.height()))
-                .unwrap_or(max_half),
-        );
-        if self.covers_rect(&Rect::centered_square(p, hi)) {
-            return Some(Rect::centered_square(p, hi));
-        }
-        for _ in 0..48 {
-            let mid = 0.5 * (lo + hi);
-            if self.covers_rect(&Rect::centered_square(p, mid)) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        (lo > EPSILON).then(|| Rect::centered_square(p, lo))
     }
 }
 
@@ -391,32 +346,6 @@ mod tests {
             assert!(w.contains_rect(p));
             assert!(u.contains(p.center()));
         }
-    }
-
-    #[test]
-    fn largest_inscribed_square_in_single_rect() {
-        let u = RectUnion::from(r(0.0, 0.0, 4.0, 2.0));
-        let sq = u.largest_inscribed_square(Point::new(2.0, 1.0), 10.0).unwrap();
-        // Limited by the vertical extent: half-side 1 (binary search may
-        // overshoot by the coverage-test ε).
-        assert!((sq.width() - 2.0).abs() < 1e-6, "width = {}", sq.width());
-        assert!(u.covers_rect(&sq));
-    }
-
-    #[test]
-    fn largest_inscribed_square_spans_seams() {
-        let u = RectUnion::from_rects([r(0.0, 0.0, 2.0, 4.0), r(2.0, 0.0, 4.0, 4.0)]);
-        let sq = u
-            .largest_inscribed_square(Point::new(2.0, 2.0), 10.0)
-            .unwrap();
-        // Seam is interior: square can grow to the full union.
-        assert!(sq.width() > 3.9);
-    }
-
-    #[test]
-    fn largest_inscribed_square_outside_is_none() {
-        let u = RectUnion::from(r(0.0, 0.0, 1.0, 1.0));
-        assert_eq!(u.largest_inscribed_square(Point::new(5.0, 5.0), 1.0), None);
     }
 
     #[test]

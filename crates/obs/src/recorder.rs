@@ -28,6 +28,20 @@ pub trait Recorder {
     }
 }
 
+/// A borrowed recorder is a recorder, so a caller's `&mut dyn Recorder`
+/// can fill a slot that owns its recorder (a per-worker context).
+impl<R: Recorder + ?Sized> Recorder for &mut R {
+    #[inline]
+    fn begin_query(&mut self, id: u64, tick: u64) {
+        (**self).begin_query(id, tick);
+    }
+
+    #[inline]
+    fn record(&mut self, event: TraceEvent) {
+        (**self).record(event);
+    }
+}
+
 /// The default recorder: records nothing, costs nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NoopRecorder;

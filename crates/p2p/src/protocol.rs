@@ -15,7 +15,7 @@ use crate::NeighborGrid;
 use airshare_broadcast::{ChannelFaults, Poi, PoiCategory, PoiId, PoiTable};
 use airshare_cache::{HostCache, QuarantineLedger};
 use airshare_geom::{Point, Rect};
-use airshare_obs::{NoopRecorder, Recorder, ShareStats, TraceEvent};
+use airshare_obs::{Recorder, ShareStats, TraceEvent};
 
 /// Salt xor-ed into the nonce for malform decisions so they draw an
 /// independent hash from drop decisions. Without it, both events would
@@ -96,50 +96,6 @@ impl ShareFaults<'_> {
     }
 }
 
-/// Validates one reply's regions: structurally malformed regions and
-/// regions whose POIs fall outside their claimed rectangle are rejected
-/// outright (an inconsistent claim means the peer cannot be trusted about
-/// that region); survivors are clipped to `world` with their POIs
-/// restricted accordingly. Returns the sanitized regions and the number
-/// rejected.
-#[deprecated(
-    since = "0.2.0",
-    note = "replies carry PoiId handles now; use `sanitize_id_regions` \
-            with the canonical PoiTable"
-)]
-pub fn sanitize_regions(
-    regions: Vec<(Rect, Vec<Poi>)>,
-    world: Option<&Rect>,
-) -> (Vec<(Rect, Vec<Poi>)>, usize) {
-    let mut out = Vec::with_capacity(regions.len());
-    let mut rejected = 0usize;
-    for (r, pois) in regions {
-        let well_formed = r.x1.is_finite()
-            && r.y1.is_finite()
-            && r.x2.is_finite()
-            && r.y2.is_finite()
-            && r.x1 <= r.x2
-            && r.y1 <= r.y2;
-        if !well_formed || pois.iter().any(|p| !r.contains(p.pos)) {
-            rejected += 1;
-            continue;
-        }
-        let clipped = match world {
-            Some(w) => match r.intersection(w) {
-                Some(c) => c,
-                None => {
-                    rejected += 1;
-                    continue;
-                }
-            },
-            None => r,
-        };
-        let pois: Vec<Poi> = pois.into_iter().filter(|p| clipped.contains(p.pos)).collect();
-        out.push((clipped, pois));
-    }
-    (out, rejected)
-}
-
 /// Validates one reply's handle-based regions against the canonical
 /// `table`: a region is rejected whole when it is structurally
 /// malformed, claims a handle the table cannot resolve, or claims a POI
@@ -154,13 +110,7 @@ pub fn sanitize_id_regions(
     let mut out = Vec::with_capacity(regions.len());
     let mut rejected = 0usize;
     for (r, ids) in regions {
-        let well_formed = r.x1.is_finite()
-            && r.y1.is_finite()
-            && r.x2.is_finite()
-            && r.y2.is_finite()
-            && r.x1 <= r.x2
-            && r.y1 <= r.y2;
-        let claims_hold = well_formed
+        let claims_hold = r.is_well_formed()
             && ids
                 .iter()
                 .all(|&id| table.get(id).is_some_and(|p| r.contains(p.pos)));
@@ -187,30 +137,92 @@ pub fn sanitize_id_regions(
     (out, rejected)
 }
 
-/// Collects validated replies from `peers`, applying drop and malform
-/// decisions and accumulating traffic stats. Each contact, dropped
-/// reply, and data-bearing reply (as a `CacheHit` with the contributed
-/// region count) is traced into `rec`.
+/// The parameters of one share exchange beyond who asks and what the
+/// world holds.
+#[derive(Debug)]
+pub struct ShareRequest<'a> {
+    /// Radio range: a peer is reachable when within `range` of the relay.
+    pub range: f64,
+    /// Wireless hops the request travels, at least 1. The paper's
+    /// exchange is single-hop; `hops > 1` floods the request through
+    /// peers (with duplicate suppression) so the benefit of richer
+    /// cooperation can be measured (see the `exp_ablations` experiment).
+    pub hops: usize,
+    /// World extent surviving regions are clipped to; `None` keeps them
+    /// as sent.
+    pub world: Option<&'a Rect>,
+    /// Reply drop and malform decisions.
+    pub faults: ShareFaults<'a>,
+    /// The querier's quarantine ledger and the current epoch, if any.
+    pub guard: QuarantineGuard<'a>,
+}
+
+impl ShareRequest<'_> {
+    /// The paper's exchange: one hop of `range`, no clipping, no faults,
+    /// no quarantine.
+    pub fn single_hop(range: f64) -> Self {
+        ShareRequest {
+            range,
+            hops: 1,
+            world: None,
+            faults: ShareFaults::default(),
+            guard: None,
+        }
+    }
+}
+
+/// Performs the share exchange for a querying host: every peer within
+/// `req.hops` hops is contacted once, and its reply is validated and
+/// collected.
 ///
-/// When a quarantine `guard` is present, currently-quarantined peers
-/// are skipped *before* any contact (they cost no request message), and
-/// a peer whose reply fails sanitation is struck and quarantined with
-/// seeded exponential backoff. With `guard: None` (or an empty ledger)
-/// the exchange is byte-identical to the pre-quarantine protocol.
+/// `caches[i]` must be host `i`'s cache; `grid` must reflect current
+/// positions; `table` is the canonical POI store claims resolve
+/// against. Returns every non-empty peer reply plus traffic stats.
+/// Empty-handed peers are counted as contacted (they cost a request
+/// message) but transfer nothing.
+///
+/// Each contacted peer's reply may be dropped or malformed per
+/// `req.faults`, and surviving replies are sanitized against
+/// `req.world` (see [`sanitize_id_regions`]), so a flaky or inconsistent
+/// peer degrades the querier to on-air retrieval instead of poisoning
+/// its cache. With a quarantine `req.guard`, peers the querier's ledger
+/// currently quarantines are skipped before contact, and peers whose
+/// replies fail sanitation are struck (see [`QuarantineLedger`]); a
+/// `None` guard reproduces the unguarded exchange exactly. Quarantined
+/// peers still relay a multi-hop flood — quarantine distrusts a peer's
+/// *data*, not its radio — but their own replies are skipped.
+///
+/// Peer contacts, dropped replies, and cache contributions are traced
+/// into `rec`.
+///
+/// # Panics
+/// Panics if `req.hops` is 0.
 #[allow(clippy::too_many_arguments)]
-fn collect_replies(
-    peers: Vec<usize>,
+pub fn gather_peer_data(
+    querier: usize,
+    querier_pos: Point,
     category: PoiCategory,
+    grid: &NeighborGrid,
     caches: &[HostCache],
     table: &PoiTable,
-    world: Option<&Rect>,
-    faults: ShareFaults<'_>,
-    mut guard: QuarantineGuard<'_>,
+    req: ShareRequest<'_>,
     rec: &mut dyn Recorder,
 ) -> (Vec<PeerReply>, ShareStats) {
+    assert!(req.hops >= 1, "at least one hop");
+    let ShareRequest {
+        range,
+        hops,
+        world,
+        faults,
+        mut guard,
+    } = req;
+    let mut reached = grid.neighbors_within(querier_pos, range, Some(querier));
+    if hops > 1 {
+        reached = flood(querier, reached, range, hops, grid, caches.len());
+    }
     let mut stats = ShareStats::default();
     let mut replies = Vec::new();
-    for peer in peers {
+    for peer in reached {
         if let Some((ledger, epoch)) = guard.as_ref() {
             if ledger.is_quarantined(peer, *epoch) {
                 rec.record(TraceEvent::QuarantinedPeerSkipped { peer: peer as u32 });
@@ -266,241 +278,22 @@ fn collect_replies(
     (replies, stats)
 }
 
-/// Performs the single-hop share exchange for a querying host.
-///
-/// `caches[i]` must be host `i`'s cache; `grid` must reflect current
-/// positions; `table` is the canonical POI store claims resolve
-/// against. Returns every non-empty peer reply plus traffic stats.
-/// Empty-handed peers are counted as contacted (they cost a request
-/// message) but transfer nothing.
-pub fn gather_peer_data(
+/// Extends the querier's one-hop neighbors `first` to every host within
+/// `hops` hops, in breadth-first order; each host appears once and the
+/// querier never does.
+fn flood(
     querier: usize,
-    querier_pos: Point,
-    range: f64,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-) -> (Vec<PeerReply>, ShareStats) {
-    gather_peer_data_checked(
-        querier,
-        querier_pos,
-        range,
-        category,
-        grid,
-        caches,
-        table,
-        None,
-        ShareFaults::default(),
-    )
-}
-
-/// [`gather_peer_data`] with reply validation and fault injection: each
-/// contacted peer's reply may be dropped per `faults`, and surviving
-/// replies are sanitized against `world` (see [`sanitize_id_regions`]),
-/// so a flaky or inconsistent peer degrades the querier to on-air
-/// retrieval instead of poisoning its cache.
-#[allow(clippy::too_many_arguments)]
-pub fn gather_peer_data_checked(
-    querier: usize,
-    querier_pos: Point,
-    range: f64,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-    world: Option<&Rect>,
-    faults: ShareFaults<'_>,
-) -> (Vec<PeerReply>, ShareStats) {
-    gather_peer_data_checked_rec(
-        querier,
-        querier_pos,
-        range,
-        category,
-        grid,
-        caches,
-        table,
-        world,
-        faults,
-        &mut NoopRecorder,
-    )
-}
-
-/// [`gather_peer_data_checked`], tracing peer contacts, dropped replies,
-/// and cache contributions into `rec`.
-#[allow(clippy::too_many_arguments)]
-pub fn gather_peer_data_checked_rec(
-    querier: usize,
-    querier_pos: Point,
-    range: f64,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-    world: Option<&Rect>,
-    faults: ShareFaults<'_>,
-    rec: &mut dyn Recorder,
-) -> (Vec<PeerReply>, ShareStats) {
-    gather_peer_data_guarded_rec(
-        querier,
-        querier_pos,
-        range,
-        category,
-        grid,
-        caches,
-        table,
-        world,
-        faults,
-        None,
-        rec,
-    )
-}
-
-/// [`gather_peer_data_checked_rec`] with a quarantine `guard`: peers the
-/// querier's ledger currently quarantines are skipped before contact,
-/// and peers whose replies fail sanitation are struck (see
-/// [`QuarantineLedger`]). A `None` guard reproduces the unguarded
-/// exchange exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn gather_peer_data_guarded_rec(
-    querier: usize,
-    querier_pos: Point,
-    range: f64,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-    world: Option<&Rect>,
-    faults: ShareFaults<'_>,
-    guard: QuarantineGuard<'_>,
-    rec: &mut dyn Recorder,
-) -> (Vec<PeerReply>, ShareStats) {
-    let peers = grid.neighbors_within(querier_pos, range, Some(querier));
-    collect_replies(peers, category, caches, table, world, faults, guard, rec)
-}
-
-/// Multi-hop extension of [`gather_peer_data`]: peers relay the share
-/// request up to `hops` wireless hops away (flooding with duplicate
-/// suppression). The paper confines itself to single-hop exchange and
-/// names richer cooperation as future work; this implements the obvious
-/// next step so its benefit can be measured (see the `exp_ablations`
-/// experiment).
-///
-/// Positions come from `grid`; contacted peers are counted once each.
-/// With `hops == 1` this reduces exactly to [`gather_peer_data`].
-#[allow(clippy::too_many_arguments)]
-pub fn gather_peer_data_multihop(
-    querier: usize,
-    querier_pos: Point,
+    first: Vec<usize>,
     range: f64,
     hops: usize,
-    category: PoiCategory,
     grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-) -> (Vec<PeerReply>, ShareStats) {
-    gather_peer_data_multihop_checked(
-        querier,
-        querier_pos,
-        range,
-        hops,
-        category,
-        grid,
-        caches,
-        table,
-        None,
-        ShareFaults::default(),
-    )
-}
-
-/// [`gather_peer_data_multihop`] with reply validation and fault
-/// injection (see [`gather_peer_data_checked`]).
-#[allow(clippy::too_many_arguments)]
-pub fn gather_peer_data_multihop_checked(
-    querier: usize,
-    querier_pos: Point,
-    range: f64,
-    hops: usize,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-    world: Option<&Rect>,
-    faults: ShareFaults<'_>,
-) -> (Vec<PeerReply>, ShareStats) {
-    gather_peer_data_multihop_checked_rec(
-        querier,
-        querier_pos,
-        range,
-        hops,
-        category,
-        grid,
-        caches,
-        table,
-        world,
-        faults,
-        &mut NoopRecorder,
-    )
-}
-
-/// [`gather_peer_data_multihop_checked`], tracing peer contacts, dropped
-/// replies, and cache contributions into `rec`.
-#[allow(clippy::too_many_arguments)]
-pub fn gather_peer_data_multihop_checked_rec(
-    querier: usize,
-    querier_pos: Point,
-    range: f64,
-    hops: usize,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-    world: Option<&Rect>,
-    faults: ShareFaults<'_>,
-    rec: &mut dyn Recorder,
-) -> (Vec<PeerReply>, ShareStats) {
-    gather_peer_data_multihop_guarded_rec(
-        querier,
-        querier_pos,
-        range,
-        hops,
-        category,
-        grid,
-        caches,
-        table,
-        world,
-        faults,
-        None,
-        rec,
-    )
-}
-
-/// [`gather_peer_data_multihop_checked_rec`] with a quarantine `guard`
-/// (see [`gather_peer_data_guarded_rec`]). Quarantined peers still relay
-/// the flood — quarantine distrusts a peer's *data*, not its radio —
-/// but their own replies are skipped.
-#[allow(clippy::too_many_arguments)]
-pub fn gather_peer_data_multihop_guarded_rec(
-    querier: usize,
-    querier_pos: Point,
-    range: f64,
-    hops: usize,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-    world: Option<&Rect>,
-    faults: ShareFaults<'_>,
-    guard: QuarantineGuard<'_>,
-    rec: &mut dyn Recorder,
-) -> (Vec<PeerReply>, ShareStats) {
-    assert!(hops >= 1, "at least one hop");
-    let mut visited = vec![false; caches.len()];
+    hosts: usize,
+) -> Vec<usize> {
+    let mut visited = vec![false; hosts];
     if querier < visited.len() {
         visited[querier] = true;
     }
-    let mut frontier: Vec<usize> = grid
-        .neighbors_within(querier_pos, range, Some(querier))
+    let mut frontier: Vec<usize> = first
         .into_iter()
         .filter(|&i| !std::mem::replace(&mut visited[i], true))
         .collect();
@@ -520,14 +313,14 @@ pub fn gather_peer_data_multihop_guarded_rec(
         reached.extend(next.iter().copied());
         frontier = next;
     }
-
-    collect_replies(reached, category, caches, table, world, faults, guard, rec)
+    reached
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use airshare_cache::{CacheContext, RegionEntry, ReplacementPolicy};
+    use airshare_obs::NoopRecorder;
 
     const CAT: PoiCategory = PoiCategory::GAS_STATION;
 
@@ -539,10 +332,30 @@ mod tests {
         }
     }
 
+    /// The exchange host 0 poses from the origin, untraced.
+    fn gather_at_origin(
+        grid: &NeighborGrid,
+        caches: &[HostCache],
+        table: &PoiTable,
+        req: ShareRequest<'_>,
+    ) -> (Vec<PeerReply>, ShareStats) {
+        gather_peer_data(
+            0,
+            Point::ORIGIN,
+            CAT,
+            grid,
+            caches,
+            table,
+            req,
+            &mut NoopRecorder,
+        )
+    }
+
     fn cache_with_poi(poi: Poi) -> HostCache {
         let mut c = HostCache::new(10, ReplacementPolicy::default());
         let vr = Rect::centered_square(poi.pos, 1.0);
-        c.insert(CAT, RegionEntry::new(vr, [poi], 0.0), &ctx(poi.pos));
+        let entry = RegionEntry::new(vr, [poi], 0.0);
+        c.insert(CAT, entry, &ctx(poi.pos), &mut NoopRecorder);
         c
     }
 
@@ -570,7 +383,7 @@ mod tests {
         let (caches, table) = fleet(&positions);
         let grid = NeighborGrid::build(positions, 1.0);
         let (replies, stats) =
-            gather_peer_data(0, Point::new(0.0, 0.0), 1.0, CAT, &grid, &caches, &table);
+            gather_at_origin(&grid, &caches, &table, ShareRequest::single_hop(1.0));
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].peer, 1);
         assert_eq!(stats.peers_contacted, 1);
@@ -591,7 +404,7 @@ mod tests {
         let table = PoiTable::new();
         let grid = NeighborGrid::build(positions, 1.0);
         let (replies, stats) =
-            gather_peer_data(0, Point::new(0.0, 0.0), 1.0, CAT, &grid, &caches, &table);
+            gather_at_origin(&grid, &caches, &table, ShareRequest::single_hop(1.0));
         assert!(replies.is_empty());
         assert_eq!(stats.peers_contacted, 1);
         assert_eq!(stats.peers_with_data, 0);
@@ -605,7 +418,7 @@ mod tests {
         let table = PoiTable::from_pois([poi]);
         let grid = NeighborGrid::build(positions, 1.0);
         let (replies, stats) =
-            gather_peer_data(0, Point::new(0.0, 0.0), 5.0, CAT, &grid, &caches, &table);
+            gather_at_origin(&grid, &caches, &table, ShareRequest::single_hop(5.0));
         assert!(replies.is_empty());
         assert_eq!(stats.peers_contacted, 0);
     }
@@ -630,15 +443,14 @@ mod tests {
         let table = PoiTable::from_pois([poi]);
         let grid = NeighborGrid::build(positions, 1.0);
         for (hops, expect_contacted, expect_replies) in [(1, 1, 0), (2, 2, 0), (3, 3, 1)] {
-            let (replies, stats) = gather_peer_data_multihop(
-                0,
-                Point::new(0.0, 0.0),
-                1.0,
-                hops,
-                CAT,
+            let (replies, stats) = gather_at_origin(
                 &grid,
                 &caches,
                 &table,
+                ShareRequest {
+                    hops,
+                    ..ShareRequest::single_hop(1.0)
+                },
             );
             assert_eq!(stats.peers_contacted, expect_contacted, "hops {hops}");
             assert_eq!(replies.len(), expect_replies, "hops {hops}");
@@ -646,25 +458,38 @@ mod tests {
     }
 
     #[test]
-    fn multihop_one_hop_matches_single_hop() {
-        let positions = vec![Point::new(0.0, 0.0), Point::new(0.1, 0.0), Point::new(5.0, 5.0)];
+    fn one_hop_contacts_exactly_the_in_range_hosts() {
+        // A scatter around the querier at the origin, spanning several
+        // grid cells; every peer holds data, so the replies list the
+        // contacted peers in contact order.
+        let positions: Vec<Point> = (0..60)
+            .map(|i: usize| {
+                let x = ((i * 37) % 23) as f64 * 0.13 - 1.43;
+                let y = ((i * 11) % 19) as f64 * 0.15 - 1.37;
+                if i == 0 {
+                    Point::ORIGIN
+                } else {
+                    Point::new(x, y)
+                }
+            })
+            .collect();
         let (caches, table) = fleet(&positions);
-        let grid = NeighborGrid::build(positions, 1.0);
-        let (r1, s1) =
-            gather_peer_data(0, Point::new(0.0, 0.0), 1.0, CAT, &grid, &caches, &table);
-        let (r2, s2) = gather_peer_data_multihop(
-            0,
-            Point::new(0.0, 0.0),
-            1.0,
-            1,
-            CAT,
-            &grid,
-            &caches,
-            &table,
+        let grid = NeighborGrid::build(positions.clone(), 1.0);
+        let (replies, stats) =
+            gather_at_origin(&grid, &caches, &table, ShareRequest::single_hop(1.0));
+        let contacted: Vec<usize> = replies.iter().map(|r| r.peer).collect();
+        assert_eq!(
+            contacted,
+            grid.neighbors_within(Point::ORIGIN, 1.0, Some(0))
         );
-        assert_eq!(s1, s2);
-        assert_eq!(r1.len(), r2.len());
-        assert_eq!(r1[0].peer, r2[0].peer);
+        let brute: Vec<usize> = (1..positions.len())
+            .filter(|&i| positions[i].distance_sq(Point::ORIGIN) <= 1.0)
+            .collect();
+        assert!(brute.len() >= 5, "the scatter should put peers in range");
+        let mut sorted = contacted;
+        sorted.sort_unstable();
+        assert_eq!(sorted, brute);
+        assert_eq!(stats.peers_contacted, brute.len());
     }
 
     #[test]
@@ -680,15 +505,18 @@ mod tests {
         let caches: Vec<HostCache> = pois.iter().map(|&p| cache_with_poi(p)).collect();
         let table = PoiTable::from_pois(pois);
         let grid = NeighborGrid::build(positions, 1.0);
-        let (replies, stats) = gather_peer_data_multihop(
+        let (replies, stats) = gather_peer_data(
             2,
             Point::new(0.2, 0.0),
-            1.0,
-            4,
             CAT,
             &grid,
             &caches,
             &table,
+            ShareRequest {
+                hops: 4,
+                ..ShareRequest::single_hop(1.0)
+            },
+            &mut NoopRecorder,
         );
         assert_eq!(stats.peers_contacted, 5);
         assert!(replies.iter().all(|r| r.peer != 2));
@@ -708,16 +536,14 @@ mod tests {
             malform_prob: 0.0,
             nonce: 42,
         };
-        let (replies, stats) = gather_peer_data_checked(
-            0,
-            Point::new(0.0, 0.0),
-            1.0,
-            CAT,
+        let (replies, stats) = gather_at_origin(
             &grid,
             &caches,
             &table,
-            None,
-            all_dropped,
+            ShareRequest {
+                faults: all_dropped,
+                ..ShareRequest::single_hop(1.0)
+            },
         );
         assert!(replies.is_empty());
         assert_eq!(stats.peers_contacted, 8);
@@ -733,16 +559,14 @@ mod tests {
             nonce: 42,
         };
         let run = || {
-            gather_peer_data_checked(
-                0,
-                Point::new(0.0, 0.0),
-                1.0,
-                CAT,
+            gather_at_origin(
                 &grid,
                 &caches,
                 &table,
-                None,
-                some,
+                ShareRequest {
+                    faults: some,
+                    ..ShareRequest::single_hop(1.0)
+                },
             )
         };
         let (r1, s1) = run();
@@ -751,8 +575,7 @@ mod tests {
         assert_eq!(r1.len(), r2.len());
         assert_eq!(s1.replies_dropped + s1.peers_with_data, 8);
 
-        let (r0, s0) =
-            gather_peer_data(0, Point::new(0.0, 0.0), 1.0, CAT, &grid, &caches, &table);
+        let (r0, s0) = gather_at_origin(&grid, &caches, &table, ShareRequest::single_hop(1.0));
         assert_eq!(r0.len(), 8);
         assert_eq!(s0.replies_dropped, 0);
     }
@@ -806,26 +629,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_poi_sanitizer_still_works() {
-        let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
-        let regions = vec![
-            (
-                Rect::from_coords(0.0, 0.0, 1.0, 1.0),
-                vec![Poi::new(1, Point::new(5.0, 5.0))],
-            ),
-            (
-                Rect::from_coords(2.0, 2.0, 4.0, 4.0),
-                vec![Poi::new(5, Point::new(3.0, 3.0))],
-            ),
-        ];
-        let (kept, rejected) = sanitize_regions(regions, Some(&world));
-        assert_eq!(rejected, 1);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].1[0].id, 5);
-    }
-
-    #[test]
     fn inconsistent_peer_cache_degrades_to_no_reply() {
         // A peer whose cache claims a POI inside a VR the canonical
         // position contradicts (possible only by constructing the entry
@@ -845,16 +648,14 @@ mod tests {
         let caches = vec![HostCache::new(10, ReplacementPolicy::default()), bad];
         let grid = NeighborGrid::build(positions, 1.0);
         let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
-        let (replies, stats) = gather_peer_data_checked(
-            0,
-            Point::new(0.0, 0.0),
-            1.0,
-            CAT,
+        let (replies, stats) = gather_at_origin(
             &grid,
             &caches,
             &table,
-            Some(&world),
-            ShareFaults::default(),
+            ShareRequest {
+                world: Some(&world),
+                ..ShareRequest::single_hop(1.0)
+            },
         );
         assert!(replies.is_empty());
         assert_eq!(stats.regions_rejected, 1);
@@ -875,33 +676,25 @@ mod tests {
             nonce: 42,
         };
         let mut rec = MetricsRecorder::new();
-        let (replies, stats) = gather_peer_data_checked_rec(
-            0,
-            Point::new(0.0, 0.0),
-            1.0,
-            CAT,
-            &grid,
-            &caches,
-            &table,
-            None,
-            some,
-            &mut rec,
-        );
+        let req = ShareRequest {
+            faults: some,
+            ..ShareRequest::single_hop(1.0)
+        };
+        let (replies, stats) =
+            gather_peer_data(0, Point::ORIGIN, CAT, &grid, &caches, &table, req, &mut rec);
         let snap = rec.snapshot();
         assert_eq!(snap.peers_contacted_total, stats.peers_contacted as u64);
         assert_eq!(snap.peer_replies_dropped, stats.replies_dropped as u64);
         assert_eq!(snap.cache_hits_total, stats.peers_with_data as u64);
         // Tracing must not perturb the exchange.
-        let (r2, s2) = gather_peer_data_checked(
-            0,
-            Point::new(0.0, 0.0),
-            1.0,
-            CAT,
+        let (r2, s2) = gather_at_origin(
             &grid,
             &caches,
             &table,
-            None,
-            some,
+            ShareRequest {
+                faults: some,
+                ..ShareRequest::single_hop(1.0)
+            },
         );
         assert_eq!(stats, s2);
         assert_eq!(replies.len(), r2.len());
@@ -923,16 +716,14 @@ mod tests {
             malform_prob: 1.0,
             nonce: 42,
         };
-        let (replies, stats) = gather_peer_data_checked(
-            0,
-            Point::new(0.0, 0.0),
-            1.0,
-            CAT,
+        let (replies, stats) = gather_at_origin(
             &grid,
             &caches,
             &table,
-            None,
-            all_malformed,
+            ShareRequest {
+                faults: all_malformed,
+                ..ShareRequest::single_hop(1.0)
+            },
         );
         assert!(replies.is_empty());
         assert_eq!(stats.peers_contacted, 4);
@@ -956,18 +747,15 @@ mod tests {
         let mut ledger = QuarantineLedger::new(QuarantineConfig::default(), 7);
 
         // Exchange 1 at epoch 0: every reply malforms, every peer struck.
-        let (replies, stats) = gather_peer_data_guarded_rec(
-            0,
-            Point::new(0.0, 0.0),
-            1.0,
-            CAT,
+        let (replies, stats) = gather_at_origin(
             &grid,
             &caches,
             &table,
-            None,
-            all_malformed,
-            Some((&mut ledger, 0)),
-            &mut NoopRecorder,
+            ShareRequest {
+                faults: all_malformed,
+                guard: Some((&mut ledger, 0)),
+                ..ShareRequest::single_hop(1.0)
+            },
         );
         assert!(replies.is_empty());
         assert_eq!(stats.peers_contacted, 3);
@@ -977,18 +765,15 @@ mod tests {
 
         // Exchange 2 at epoch 1: all three peers are quarantined and
         // skipped before contact — no request messages at all.
-        let (replies2, stats2) = gather_peer_data_guarded_rec(
-            0,
-            Point::new(0.0, 0.0),
-            1.0,
-            CAT,
+        let (replies2, stats2) = gather_at_origin(
             &grid,
             &caches,
             &table,
-            None,
-            all_malformed,
-            Some((&mut ledger, 1)),
-            &mut NoopRecorder,
+            ShareRequest {
+                faults: all_malformed,
+                guard: Some((&mut ledger, 1)),
+                ..ShareRequest::single_hop(1.0)
+            },
         );
         assert!(replies2.is_empty());
         assert_eq!(stats2.peers_contacted, 0);
@@ -1010,29 +795,24 @@ mod tests {
             nonce: 42,
         };
         let mut ledger = QuarantineLedger::new(QuarantineConfig::default(), 7);
-        let (rg, sg) = gather_peer_data_guarded_rec(
-            0,
-            Point::new(0.0, 0.0),
-            1.0,
-            CAT,
+        let (rg, sg) = gather_at_origin(
             &grid,
             &caches,
             &table,
-            None,
-            some,
-            Some((&mut ledger, 3)),
-            &mut NoopRecorder,
+            ShareRequest {
+                faults: some,
+                guard: Some((&mut ledger, 3)),
+                ..ShareRequest::single_hop(1.0)
+            },
         );
-        let (ru, su) = gather_peer_data_checked(
-            0,
-            Point::new(0.0, 0.0),
-            1.0,
-            CAT,
+        let (ru, su) = gather_at_origin(
             &grid,
             &caches,
             &table,
-            None,
-            some,
+            ShareRequest {
+                faults: some,
+                ..ShareRequest::single_hop(1.0)
+            },
         );
         assert_eq!(sg, su, "an empty ledger must not perturb the exchange");
         assert_eq!(rg.len(), ru.len());
@@ -1047,11 +827,12 @@ mod tests {
         let (replies, _) = gather_peer_data(
             0,
             Point::new(0.0, 0.0),
-            1.0,
             PoiCategory(7),
             &grid,
             &caches,
             &table,
+            ShareRequest::single_hop(1.0),
+            &mut NoopRecorder,
         );
         assert!(replies.is_empty());
     }

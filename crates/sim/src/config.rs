@@ -32,6 +32,8 @@ pub enum ConfigError {
     /// `knn_k == 0` on a kNN workload: the channel fallback can never
     /// answer a 0-NN query.
     ZeroKnnK,
+    /// `p2p_hops == 0`: a share request must travel at least one hop.
+    ZeroP2pHops,
     /// `epoch_min` is non-positive or non-finite: the epoch-sharded
     /// engine needs a positive epoch length to group events. Carries the
     /// offending value.
@@ -64,6 +66,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "{name} must be non-negative and finite")
             }
             ConfigError::ZeroKnnK => write!(f, "params.knn_k must be ≥ 1 for kNN workloads"),
+            ConfigError::ZeroP2pHops => write!(f, "p2p_hops must be ≥ 1"),
             ConfigError::BadEpoch(v) => {
                 write!(f, "epoch_min must be positive and finite, got {v}")
             }
@@ -313,7 +316,8 @@ pub struct SimConfig {
     /// Merge the querying host's own cache into the MVR.
     pub use_own_cache: bool,
     /// How many wireless hops the share request travels (1 = the paper's
-    /// single-hop exchange; >1 enables the multi-hop extension).
+    /// single-hop exchange; >1 enables the multi-hop extension; 0 is
+    /// rejected by [`SimConfig::check`]).
     pub p2p_hops: usize,
     /// Mobility model.
     pub mobility: MobilityModel,
@@ -430,6 +434,9 @@ impl SimConfig {
         }
         if self.query_kind == QueryKind::Knn && self.params.knn_k == 0 {
             return Err(ConfigError::ZeroKnnK);
+        }
+        if self.p2p_hops == 0 {
+            return Err(ConfigError::ZeroP2pHops);
         }
         for (name, v) in [
             ("min_correctness", self.min_correctness),
@@ -652,6 +659,10 @@ mod tests {
         // Window workloads never run kNN, so k = 0 is fine there.
         c.query_kind = QueryKind::Window;
         assert_eq!(c.check(), Ok(()));
+
+        let mut c = good();
+        c.p2p_hops = 0;
+        assert_eq!(c.check(), Err(ConfigError::ZeroP2pHops));
 
         let mut c = good();
         c.faults.bucket_loss_prob = 1.5;

@@ -19,7 +19,7 @@ use airshare_broadcast::{
 };
 use airshare_cache::{CacheContext, HostCache, QuarantineConfig, QuarantineLedger};
 use airshare_core::{
-    sbnn_rec, sbwq_rec, MergedRegion, ResolvedBy, SbnnConfig, SbnnOutcome, SbwqConfig, SbwqOutcome,
+    sbnn, sbwq, MergedRegion, ResolvedBy, SbnnConfig, SbnnOutcome, SbwqConfig, SbwqOutcome,
 };
 use airshare_exec::{split_seed, ExecPool};
 use airshare_geom::{meters_to_miles, Point, Rect};
@@ -30,7 +30,7 @@ use airshare_obs::{
     AccessStats, AnswerQuality, MetricsRecorder, NoopRecorder, PhaseTimes, Recorder, ShareStats,
     TraceEvent,
 };
-use airshare_p2p::{NeighborGrid, ShareFaults};
+use airshare_p2p::{gather_peer_data, NeighborGrid, ShareFaults, ShareRequest};
 use airshare_rtree::RTree;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -195,6 +195,8 @@ struct HostDone {
     /// Resync transitions this shard performed (warm-up included).
     resyncs: u64,
     outcomes: Vec<(u64, QueryOutcome)>,
+    /// Every query's inputs and answer, when the run records a trace.
+    recorded: Vec<RecordedQuery>,
 }
 
 /// The immutable world every worker shares within one epoch. Shared by
@@ -248,25 +250,6 @@ pub(crate) struct LiveDone {
     pub(crate) resyncs: u64,
     pub(crate) outcomes: Vec<(u64, QueryOutcome)>,
     pub(crate) answers: Vec<QueryAnswer>,
-}
-
-/// Who executes the epoch's host tasks.
-enum Driver<'d> {
-    /// One thread, one recorder, tasks in host-id order.
-    Sequential(&'d mut dyn Recorder),
-    /// Sequential, additionally capturing the full workload (per-epoch
-    /// fleet state + per-query inputs and answers) into a trace.
-    Recording {
-        rec: &'d mut dyn Recorder,
-        trace: &'d mut TrafficTrace,
-    },
-    /// Pool workers with inert recorders.
-    Parallel { pool: &'d ExecPool },
-    /// Pool workers, each folding into its own shard-local recorder.
-    ParallelMetrics {
-        pool: &'d ExecPool,
-        recorders: &'d mut Vec<MetricsRecorder>,
-    },
 }
 
 /// One full system: base station, channel, fleet, caches.
@@ -391,12 +374,7 @@ impl Simulation {
     /// view (per-event counters plus tuning/latency percentiles over
     /// *every* query, peer-resolved ones included as zeros).
     pub fn run_metrics(&mut self) -> SimReport {
-        let mut rec = MetricsRecorder::new();
-        let mut report = self.run_engine(Driver::Sequential(&mut rec));
-        let mut snapshot = rec.snapshot();
-        snapshot.phases = self.phases;
-        report.metrics = Some(snapshot);
-        report
+        self.run_parallel_metrics(&ExecPool::sequential())
     }
 
     /// [`Simulation::run`], tracing every query's resolution path into
@@ -408,8 +386,12 @@ impl Simulation {
     /// epoch), which is also deterministic.
     ///
     /// [`run`]: Simulation::run
-    pub fn run_with(&mut self, rec: &mut dyn Recorder) -> SimReport {
-        self.run_engine(Driver::Sequential(rec))
+    pub fn run_with(&mut self, rec: &mut (dyn Recorder + Send)) -> SimReport {
+        self.run_engine(
+            &ExecPool::sequential(),
+            &mut [(rec, QueryScratch::new())],
+            None,
+        )
     }
 
     /// Runs sequentially while recording the full workload into a
@@ -426,11 +408,11 @@ impl Simulation {
             epoch_min: self.cfg.epoch_min,
             ..TrafficTrace::default()
         };
-        let mut noop = NoopRecorder;
-        let report = self.run_engine(Driver::Recording {
-            rec: &mut noop,
-            trace: &mut trace,
-        });
+        let report = self.run_engine(
+            &ExecPool::sequential(),
+            &mut [(NoopRecorder, QueryScratch::new())],
+            Some(&mut trace),
+        );
         // Per-epoch recording appends in host-id order; replay wants
         // global (nonce) order, which is also time order.
         trace.queries.sort_by_key(|q| q.nonce);
@@ -447,7 +429,10 @@ impl Simulation {
     /// event order at the barrier. Scheduling affects only wall-clock
     /// time. `tests/parallel.rs` asserts this end to end.
     pub fn run_parallel(&mut self, pool: &ExecPool) -> SimReport {
-        self.run_engine(Driver::Parallel { pool })
+        let mut ctxs: Vec<_> = (0..pool.threads())
+            .map(|_| (NoopRecorder, QueryScratch::new()))
+            .collect();
+        self.run_engine(pool, &mut ctxs, None)
     }
 
     /// [`Simulation::run_parallel`] with per-worker [`MetricsRecorder`]s:
@@ -455,14 +440,12 @@ impl Simulation {
     /// associatively into the report's `metrics` snapshot — equal to the
     /// snapshot a sequential [`Simulation::run_metrics`] produces.
     pub fn run_parallel_metrics(&mut self, pool: &ExecPool) -> SimReport {
-        let mut recorders: Vec<MetricsRecorder> =
-            (0..pool.threads()).map(|_| MetricsRecorder::new()).collect();
-        let mut report = self.run_engine(Driver::ParallelMetrics {
-            pool,
-            recorders: &mut recorders,
-        });
+        let mut ctxs: Vec<_> = (0..pool.threads())
+            .map(|_| (MetricsRecorder::new(), QueryScratch::new()))
+            .collect();
+        let mut report = self.run_engine(pool, &mut ctxs, None);
         let mut merged = MetricsRecorder::new();
-        for rec in &recorders {
+        for (rec, _) in &ctxs {
             merged.merge(rec);
         }
         let mut snapshot = merged.snapshot();
@@ -475,48 +458,21 @@ impl Simulation {
     ///
     /// Per epoch: rebuild the neighbor grid at the epoch boundary,
     /// snapshot the committed caches, move each active host's state into
-    /// its shard task, execute the shards (inline or on the pool), then
-    /// commit state back in host-id order and fold outcomes in global
-    /// event order.
-    fn run_engine(&mut self, driver: Driver<'_>) -> SimReport {
-        // Per-worker `(recorder, scratch)` state, hoisted out of the
-        // epoch loop: the scratch buffers reach their high-water marks
-        // during warm-up and every later index-path query runs without
-        // heap allocation.
-        enum Workers<'d> {
-            Sequential(&'d mut dyn Recorder, QueryScratch),
-            Recording(&'d mut dyn Recorder, QueryScratch, &'d mut TrafficTrace),
-            Parallel(&'d ExecPool, Vec<(NoopRecorder, QueryScratch)>),
-            ParallelMetrics(&'d ExecPool, Vec<(&'d mut MetricsRecorder, QueryScratch)>),
-        }
-        // The pool the *fleet* phases (advance, churn application) fan
-        // out on — the same pool the query shards use. Sequential and
-        // recording drivers advance inline.
-        let fleet_pool: Option<ExecPool> = match &driver {
-            Driver::Parallel { pool } => Some((*pool).clone()),
-            Driver::ParallelMetrics { pool, .. } => Some((*pool).clone()),
-            _ => None,
-        };
-        let mut workers = match driver {
-            Driver::Sequential(rec) => Workers::Sequential(rec, QueryScratch::new()),
-            Driver::Recording { rec, trace } => {
-                Workers::Recording(rec, QueryScratch::new(), trace)
-            }
-            Driver::Parallel { pool } => Workers::Parallel(
-                pool,
-                (0..pool.threads())
-                    .map(|_| (NoopRecorder, QueryScratch::new()))
-                    .collect(),
-            ),
-            Driver::ParallelMetrics { pool, recorders } => Workers::ParallelMetrics(
-                pool,
-                recorders
-                    .iter_mut()
-                    .map(|r| (r, QueryScratch::new()))
-                    .collect(),
-            ),
-        };
-
+    /// its shard task, execute the shards on `pool` (inline for a
+    /// single-worker pool), then commit state back in host-id order and
+    /// fold outcomes in global event order.
+    ///
+    /// Each worker owns one `(recorder, scratch)` context, hoisted out of
+    /// the epoch loop: the scratch buffers reach their high-water marks
+    /// during warm-up and every later index-path query runs without heap
+    /// allocation. Churn events go to the first context's recorder. With
+    /// a `trace`, the full workload is recorded into it.
+    fn run_engine<R: Recorder + Send>(
+        &mut self,
+        pool: &ExecPool,
+        ctxs: &mut [(R, QueryScratch)],
+        mut trace: Option<&mut TrafficTrace>,
+    ) -> SimReport {
         let cfg = self.cfg.clone();
         let range = meters_to_miles(cfg.params.tx_range_m);
         let cell = range.max(1e-3);
@@ -526,7 +482,7 @@ impl Simulation {
             QueryScheduler::new(cfg.params.query_rate, cfg.params.mh_number, cfg.seed ^ 0xA5);
         let horizon = cfg.total_min();
 
-        if let Workers::Recording(_, _, trace) = &mut workers {
+        if let Some(trace) = &mut trace {
             // Pristine churn-plan state: who is on the air before the
             // first epoch's transitions apply.
             trace.initial_online = self.fleet.online.clone();
@@ -571,7 +527,7 @@ impl Simulation {
             // Churn transitions due at or before this epoch's boundary
             // (epochs without events are caught up lazily). This serial
             // pass records events and counters in plan order —
-            // identically under every driver, so trace logs stay
+            // identically at every thread count, so trace logs stay
             // byte-identical — and *collects* the per-host state
             // mutations for the chunked fleet-advance pass below.
             let t_phase = Instant::now();
@@ -599,21 +555,12 @@ impl Simulation {
                         epoch: e,
                     }
                 };
-                match &mut workers {
-                    Workers::Sequential(rec, _) => rec.record(event),
-                    Workers::Recording(rec, _, _) => {
-                        // The trace keeps the *planned* epoch `e`, not the
-                        // barrier epoch: a restart's sync clock is pinned
-                        // to when the host actually came online.
-                        epoch_churn.push((h as u32, e, up));
-                        rec.record(event);
-                    }
-                    Workers::Parallel(..) => {}
-                    Workers::ParallelMetrics(_, ctxs) => {
-                        if let Some((rec, _)) = ctxs.first_mut() {
-                            rec.record(event);
-                        }
-                    }
+                // The trace keeps the *planned* epoch `e`, not the
+                // barrier epoch: a restart's sync clock is pinned to when
+                // the host actually came online.
+                epoch_churn.push((h as u32, e, up));
+                if let Some((rec, _)) = ctxs.first_mut() {
+                    rec.record(event);
                 }
             }
 
@@ -630,10 +577,10 @@ impl Simulation {
                 &transitions,
                 t_build,
                 epoch_len,
-                fleet_pool.as_ref(),
+                pool,
             );
             phases.advance_ns += t_phase.elapsed().as_nanos() as u64;
-            if let Workers::Recording(_, _, trace) = &mut workers {
+            if let Some(trace) = &mut trace {
                 // Position deltas against the previous recorded epoch:
                 // the first record carries every host, later ones only
                 // hosts whose position actually changed (a paused
@@ -739,37 +686,10 @@ impl Simulation {
                 epoch,
                 outage: &self.outage,
             };
-            let done: Vec<HostDone> = match &mut workers {
-                Workers::Sequential(rec, scratch) => {
-                    let mut v = Vec::with_capacity(tasks.len());
-                    for task in tasks {
-                        v.push(ctx.run_host(task, scratch, &mut **rec, None));
-                    }
-                    v
-                }
-                Workers::Recording(rec, scratch, trace) => {
-                    let mut v = Vec::with_capacity(tasks.len());
-                    for task in tasks {
-                        v.push(ctx.run_host(
-                            task,
-                            scratch,
-                            &mut **rec,
-                            Some(&mut trace.queries),
-                        ));
-                    }
-                    v
-                }
-                Workers::Parallel(pool, ctxs) => {
-                    pool.map_with(ctxs, tasks, |(rec, scratch), _, task| {
-                        ctx.run_host(task, scratch, rec, None)
-                    })
-                }
-                Workers::ParallelMetrics(pool, ctxs) => {
-                    pool.map_with(ctxs, tasks, |(rec, scratch), _, task| {
-                        ctx.run_host(task, scratch, &mut **rec, None)
-                    })
-                }
-            };
+            let recording = trace.is_some();
+            let done: Vec<HostDone> = pool.map_with(ctxs, tasks, |(rec, scratch), _, task| {
+                ctx.run_host(task, scratch, rec, recording)
+            });
 
             // Barrier: commit host state in host-id order (`map` returns
             // results in task order), then fold outcomes in global event
@@ -783,6 +703,9 @@ impl Simulation {
                 dirty.push(d.host);
                 report.outage_resyncs += d.resyncs;
                 outcomes.extend(d.outcomes);
+                if let Some(trace) = &mut trace {
+                    trace.queries.extend(d.recorded);
+                }
             }
             outcomes.sort_by_key(|&(idx, _)| idx);
             for (_, o) in outcomes {
@@ -802,15 +725,15 @@ impl EpochCtx<'_> {
     ///
     /// Each event's query inputs (position, heading, window sample) are
     /// derived here from the host's mobility and window streams, then
-    /// handed to the stream-free [`EpochCtx::process_query`]. When `tap`
-    /// is set, every query's inputs and answer are captured as a
+    /// handed to the stream-free [`EpochCtx::process_query`]. When
+    /// `record` is set, every query's inputs and answer are captured as a
     /// [`RecordedQuery`] for service replay.
     fn run_host(
         &self,
         task: HostTask,
         scratch: &mut QueryScratch,
         rec: &mut dyn Recorder,
-        mut tap: Option<&mut Vec<RecordedQuery>>,
+        record: bool,
     ) -> HostDone {
         let HostTask {
             host,
@@ -822,6 +745,7 @@ impl EpochCtx<'_> {
             events,
         } = task;
         let mut outcomes = Vec::new();
+        let mut recorded = Vec::new();
         let mut resyncs = 0u64;
         for (idx, t) in events {
             let qpos = mobility.position_at(t);
@@ -844,7 +768,7 @@ impl EpochCtx<'_> {
                 quarantine: &mut quarantine,
                 resyncs: &mut resyncs,
             };
-            let mut answer = tap.as_deref_mut().map(|_| QueryAnswer {
+            let mut answer = record.then(|| QueryAnswer {
                 nonce: idx,
                 host: host as u32,
                 ids: Vec::new(),
@@ -861,9 +785,8 @@ impl EpochCtx<'_> {
                 rec,
                 answer.as_mut(),
             );
-            if let Some(sink) = tap.as_deref_mut() {
-                let ans = answer.expect("answer sink allocated when recording");
-                sink.push(RecordedQuery {
+            if let Some(ans) = answer {
+                recorded.push(RecordedQuery {
                     nonce: idx,
                     host: host as u32,
                     at_min: t,
@@ -888,6 +811,7 @@ impl EpochCtx<'_> {
             quarantine,
             resyncs,
             outcomes,
+            recorded,
         }
     }
 
@@ -980,12 +904,6 @@ impl EpochCtx<'_> {
         let measuring = t >= cfg.warmup_min;
         let tune_in = (t * cfg.ticks_per_min as f64) as u64;
         rec.begin_query(nonce, tune_in);
-        let share_faults = ShareFaults {
-            faults: self.faults,
-            drop_prob: cfg.faults.peer_drop_prob,
-            malform_prob: cfg.faults.peer_malform_prob,
-            nonce,
-        };
         // Base-station outage: membership is decided on the *epoch
         // number* — the same integer arithmetic that groups events —
         // so the sequential and parallel engines can never disagree on
@@ -1001,37 +919,28 @@ impl EpochCtx<'_> {
         // of a racefree shard; replies still pass through drop decisions
         // (fault layer) and region validation, so a flaky or inconsistent
         // peer costs coverage, never correctness. ---
-        let guard = Some((&mut *q.quarantine, self.epoch));
-        let (replies, share) = if cfg.p2p_hops > 1 {
-            airshare_p2p::gather_peer_data_multihop_guarded_rec(
-                host,
-                qpos,
-                self.range,
-                cfg.p2p_hops,
-                CAT,
-                self.grid,
-                self.snapshot,
-                self.table,
-                Some(self.world),
-                share_faults,
-                guard,
-                rec,
-            )
-        } else {
-            airshare_p2p::gather_peer_data_guarded_rec(
-                host,
-                qpos,
-                self.range,
-                CAT,
-                self.grid,
-                self.snapshot,
-                self.table,
-                Some(self.world),
-                share_faults,
-                guard,
-                rec,
-            )
+        let req = ShareRequest {
+            range: self.range,
+            hops: cfg.p2p_hops,
+            world: Some(self.world),
+            faults: ShareFaults {
+                faults: self.faults,
+                drop_prob: cfg.faults.peer_drop_prob,
+                malform_prob: cfg.faults.peer_malform_prob,
+                nonce,
+            },
+            guard: Some((&mut *q.quarantine, self.epoch)),
         };
+        let (replies, share) = gather_peer_data(
+            host,
+            qpos,
+            CAT,
+            self.grid,
+            self.snapshot,
+            self.table,
+            req,
+            rec,
+        );
         if cfg.use_own_cache {
             // Own reads are live — a host always trusts its freshest self.
             let own_regions = q.cache.region_count(CAT);
@@ -1079,7 +988,7 @@ impl EpochCtx<'_> {
                     domain: cfg.clip_domain.then_some(*self.world),
                 };
                 let channel = (!silent).then_some((&client, tune_in));
-                let res = match sbnn_rec(qpos, &sbnn_cfg, &mvr, channel, scratch, rec) {
+                let res = match sbnn(qpos, &sbnn_cfg, &mvr, channel, scratch, rec) {
                     SbnnOutcome::Resolved(res) => res,
                     SbnnOutcome::Unresolved(heap) => {
                         // Outage: no channel fallback. Serve whatever the
@@ -1148,7 +1057,7 @@ impl EpochCtx<'_> {
                 if !degraded {
                     if let Some((vr, pois)) = &res.adoptable {
                         let ids: Vec<PoiId> = pois.iter().map(Poi::handle).collect();
-                        q.cache.insert_ids_rec(self.table, CAT, *vr, &ids, t, &ctx, rec);
+                        q.cache.insert_ids(self.table, CAT, *vr, &ids, t, &ctx, rec);
                     }
                 }
                 q.cache.touch(CAT, &Rect::centered_square(qpos, self.range), t);
@@ -1188,7 +1097,7 @@ impl EpochCtx<'_> {
                 // the same silent channel).
                 if !silent {
                     if let Some(base) =
-                        client.knn_rec(tune_in, qpos, sbnn_cfg.k, scratch, &mut NoopRecorder)
+                        client.knn(tune_in, qpos, sbnn_cfg.k, scratch, &mut NoopRecorder)
                     {
                         out.baseline = Some((base.stats.latency, base.stats.tuning));
                         if let Some(air) = res.air {
@@ -1242,7 +1151,7 @@ impl EpochCtx<'_> {
                     use_window_reduction: cfg.use_window_reduction,
                 };
                 let channel = (!silent).then_some((&client, tune_in));
-                let res = match sbwq_rec(&w, &sbwq_cfg, &mvr, channel, scratch, rec) {
+                let res = match sbwq(&w, &sbwq_cfg, &mvr, channel, scratch, rec) {
                     SbwqOutcome::Resolved(res) => res,
                     SbwqOutcome::Unresolved { partial, missing } => {
                         // Outage: answer from the covered sub-windows only.
@@ -1318,7 +1227,7 @@ impl EpochCtx<'_> {
                 // missing POIs and must not become a verified region.
                 if !degraded {
                     let ids: Vec<PoiId> = res.pois.iter().map(Poi::handle).collect();
-                    q.cache.insert_ids_rec(self.table, CAT, w, &ids, t, &ctx, rec);
+                    q.cache.insert_ids(self.table, CAT, w, &ids, t, &ctx, rec);
                 }
                 q.cache.touch(CAT, &w, t);
 
@@ -1340,7 +1249,7 @@ impl EpochCtx<'_> {
                     _ => (Resolution::Broadcast, Some(res.coverage)),
                 };
                 let baseline = (!silent).then(|| {
-                    let base = client.window_rec(tune_in, &w, scratch, &mut NoopRecorder);
+                    let base = client.window(tune_in, &w, scratch, &mut NoopRecorder);
                     (base.stats.latency, base.stats.tuning)
                 });
                 let mut out = QueryOutcome {
@@ -1445,16 +1354,16 @@ struct AdvanceChunk<'a> {
 /// Hosts are mutually independent here: every mutation touches only
 /// host-indexed state, and each host's own transitions arrive in epoch
 /// order. The work is therefore chunked over contiguous host ranges and
-/// fanned out on `pool` when one is supplied — chunk scheduling cannot
-/// affect the result, which is bit-identical to the sequential column
-/// walk for any chunking and any thread count.
+/// fanned out on `pool` — chunk scheduling cannot affect the result,
+/// which is bit-identical to the sequential column walk for any
+/// chunking and any thread count.
 fn advance_fleet(
     hosts: &mut [HostMobility],
     fleet: &mut FleetStore,
     transitions: &[(usize, u64, bool)],
     t_build: f64,
     epoch_len: f64,
-    pool: Option<&ExecPool>,
+    pool: &ExecPool,
 ) {
     let n = hosts.len();
     let apply = |c: &mut AdvanceChunk<'_>| {
@@ -1478,7 +1387,7 @@ fn advance_fleet(
         }
     };
 
-    let threads = pool.map_or(1, ExecPool::threads);
+    let threads = pool.threads();
     if threads <= 1 || n < 4096 {
         apply(&mut AdvanceChunk {
             start: 0,
@@ -1536,8 +1445,7 @@ fn advance_fleet(
         rest = (mob_rest, onl_rest, lsm_rest, nrs_rest, cch_rest, qua_rest, pos_rest);
         start += len;
     }
-    pool.expect("threads > 1 implies a pool")
-        .map(chunks, |_, mut c| apply(&mut c));
+    pool.map(chunks, |_, mut c| apply(&mut c));
 }
 
 /// Order-preserving parallel initialization: `(0..n).map(f).collect()`
@@ -1682,8 +1590,8 @@ pub(crate) fn build_world_core(cfg: &SimConfig) -> Result<WorldCore, ConfigError
 /// Every decision is hashed from the master seed per `(host, epoch)` —
 /// no RNG stream is consumed, so an inert [`crate::ChurnConfig`] leaves
 /// the run bit-identical to a churn-free build. The plan is applied
-/// sequentially in the epoch loop by both the sequential and parallel
-/// drivers, which keeps `run_parallel` deterministic for free.
+/// serially in the epoch loop at every thread count, which keeps
+/// `run_parallel` deterministic for free.
 fn plan_churn(cfg: &SimConfig) -> (Vec<bool>, Vec<(u64, usize, bool)>) {
     let n = cfg.params.mh_number;
     if cfg.churn.is_inert() {

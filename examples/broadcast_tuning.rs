@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
+    let mut scratch = QueryScratch::new();
     let world = Rect::from_coords(0.0, 0.0, 20.0, 20.0);
     let mut rng = StdRng::seed_from_u64(11);
     let pois: Vec<Poi> = (0..2750) // LA City's POI count
@@ -47,7 +48,9 @@ fn main() {
         for i in 0..samples {
             let t = i * cycle / samples;
             probe += schedule.next_index_start(t) - t;
-            let res = client.knn(t, q, 5).expect("enough POIs");
+            let res = client
+                .knn(t, q, 5, &mut scratch, &mut NoopRecorder)
+                .expect("enough POIs");
             latency += res.stats.latency;
             tuning += res.stats.tuning;
         }

@@ -12,6 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
+    let mut scratch = QueryScratch::new();
     // --- Part 1: a scaled LA simulation with window queries. ---
     let params = params::la_city().scaled(0.01); // 2 mi × 2 mi, same density
     let mut cfg = SimConfig::paper_defaults(params, QueryKind::Window, 99);
@@ -62,9 +63,16 @@ fn main() {
 
     // WQ1: fully inside the merged region.
     let wq1 = Rect::from_coords(3.0, 3.5, 4.5, 5.0);
-    let r1 = sbwq(&wq1, &SbwqConfig::default(), &mvr, Some((&client.as_dyn(), 0)))
-        .resolved()
-        .unwrap();
+    let r1 = sbwq(
+        &wq1,
+        &SbwqConfig::default(),
+        &mvr,
+        Some((&client.as_dyn(), 0)),
+        &mut scratch,
+        &mut NoopRecorder,
+    )
+    .resolved()
+    .unwrap();
     println!(
         "WQ1 {:?}: covered {:.0}% → {:?}, {} POIs, no broadcast",
         wq1,
@@ -76,9 +84,16 @@ fn main() {
 
     // WQ2: hangs out of the merged region → reduced windows on air.
     let wq2 = Rect::from_coords(4.0, 4.0, 8.5, 7.0);
-    let r2 = sbwq(&wq2, &SbwqConfig::default(), &mvr, Some((&client.as_dyn(), 0)))
-        .resolved()
-        .unwrap();
+    let r2 = sbwq(
+        &wq2,
+        &SbwqConfig::default(),
+        &mvr,
+        Some((&client.as_dyn(), 0)),
+        &mut scratch,
+        &mut NoopRecorder,
+    )
+    .resolved()
+    .unwrap();
     let air2 = r2.air.unwrap();
     println!(
         "WQ2 {:?}: covered {:.0}% → {:?}; {} reduced window(s), {} buckets fetched",
@@ -97,6 +112,8 @@ fn main() {
         },
         &mvr,
         Some((&client.as_dyn(), 0)),
+        &mut scratch,
+        &mut NoopRecorder,
     )
     .resolved()
     .unwrap();

@@ -53,7 +53,7 @@ fn main() {
     };
     // Handle-native insert: no owned Vec<Poi> anywhere on the path
     // (this is the allocation-free steady-state API the engine uses).
-    cache.insert_ids(&table, CAT, vr, &ids, 0.0, &ctx);
+    cache.insert_ids(&table, CAT, vr, &ids, 0.0, &ctx, &mut NoopRecorder);
     let entry_id: EntryId = cache.entry_ids(CAT)[0];
     let view: EntryView<'_> = cache.get(entry_id).expect("just inserted");
     println!(
@@ -76,8 +76,16 @@ fn main() {
     let positions = vec![Point::new(2.0, 2.0), Point::new(2.1, 2.0)];
     let caches = vec![cache, HostCache::new(20, ReplacementPolicy::default())];
     let grid = NeighborGrid::build(positions, 0.5);
-    let (replies, stats) =
-        gather_peer_data(1, Point::new(2.1, 2.0), 0.3, CAT, &grid, &caches, &table);
+    let (replies, stats) = gather_peer_data(
+        1,
+        Point::new(2.1, 2.0),
+        CAT,
+        &grid,
+        &caches,
+        &table,
+        ShareRequest::single_hop(0.3),
+        &mut NoopRecorder,
+    );
     let mvr = MergedRegion::from_replies(&replies, &table);
     println!(
         "peer exchange: {} peers, {} regions, {} POIs resolved into the MVR",

@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
+    let mut scratch = QueryScratch::new();
     // 60 hospitals over a 30 mi × 30 mi metro area (λ = 1/15 per mi²).
     let world = Rect::from_coords(0.0, 0.0, 30.0, 30.0);
     let mut rng = StdRng::seed_from_u64(2007);
@@ -95,9 +96,16 @@ fn main() {
         min_correctness: 0.5,
         ..SbnnConfig::paper_defaults(3, lambda)
     };
-    let fast = sbnn(q, &cfg_accept, &mvr, Some((&client.as_dyn(), 0)))
-        .resolved()
-        .unwrap();
+    let fast = sbnn(
+        q,
+        &cfg_accept,
+        &mvr,
+        Some((&client.as_dyn(), 0)),
+        &mut scratch,
+        &mut NoopRecorder,
+    )
+    .resolved()
+    .unwrap();
     println!(
         "\naccepting ≥50% candidates → answered by {:?} with zero broadcast wait",
         fast.resolved_by
@@ -107,9 +115,16 @@ fn main() {
         accept_approx: false,
         ..cfg_accept
     };
-    let exact = sbnn(q, &cfg_exact, &mvr, Some((&client.as_dyn(), 0)))
-        .resolved()
-        .unwrap();
+    let exact = sbnn(
+        q,
+        &cfg_exact,
+        &mvr,
+        Some((&client.as_dyn(), 0)),
+        &mut scratch,
+        &mut NoopRecorder,
+    )
+    .resolved()
+    .unwrap();
     if let Some(air) = exact.air {
         println!(
             "demanding exactness → {:?}: latency {} ticks, tuning {} ticks \
@@ -117,7 +132,9 @@ fn main() {
             exact.resolved_by, air.latency, air.tuning, air.buckets
         );
     }
-    let baseline = client.knn(0, q, 3).unwrap();
+    let baseline = client
+        .knn(0, q, 3, &mut scratch, &mut NoopRecorder)
+        .unwrap();
     println!(
         "no sharing at all      → latency {} ticks, tuning {} ticks ({} buckets)",
         baseline.stats.latency, baseline.stats.tuning, baseline.stats.buckets

@@ -12,6 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
+    let mut scratch = QueryScratch::new();
     // --- The server side: 200 POIs on a 10 mi × 10 mi area, broadcast
     // on a (1, 4) Hilbert air index. ---
     let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
@@ -51,7 +52,7 @@ fn main() {
 
     // --- SBNN: answer the 2-NN query from the peers alone. ---
     let cfg = SbnnConfig::paper_defaults(2, 200.0 / 100.0); // λ = POIs per mi²
-    let outcome = sbnn(q, &cfg, &mvr, None);
+    let outcome = sbnn(q, &cfg, &mvr, None, &mut scratch, &mut NoopRecorder);
     match outcome {
         SbnnOutcome::Resolved(res) => {
             println!("resolved by {:?}:", res.resolved_by);
@@ -83,9 +84,16 @@ fn main() {
 
     // --- The same query with no peers at all: pure on-air cost. ---
     let no_peers = MergedRegion::from_regions(Vec::<(Rect, Vec<Poi>)>::new());
-    let res = sbnn(q, &cfg, &no_peers, Some((&client.as_dyn(), 0)))
-        .resolved()
-        .expect("broadcast always resolves");
+    let res = sbnn(
+        q,
+        &cfg,
+        &no_peers,
+        Some((&client.as_dyn(), 0)),
+        &mut scratch,
+        &mut NoopRecorder,
+    )
+    .resolved()
+    .expect("broadcast always resolves");
     let air = res.air.expect("went on air");
     println!(
         "without peers: resolved by {:?} — access latency {} ticks, \

@@ -89,11 +89,11 @@
 //!
 //! ## Observability
 //!
-//! Every query-path API has a `_rec` twin threading a [`obs::Recorder`]
-//! through the protocol, and [`sim::Simulation::run_with`] accepts one
-//! for a whole run. The default [`obs::NoopRecorder`] is inert — plain
-//! calls behave exactly as before. To get percentiles without writing a
-//! recorder yourself:
+//! Every query-path API takes an [`obs::Recorder`] it threads through
+//! the protocol, and [`sim::Simulation::run_with`] accepts one for a
+//! whole run. The [`obs::NoopRecorder`] is inert — a call that passes it
+//! behaves exactly as an untraced one. To get percentiles without
+//! writing a recorder yourself:
 //!
 //! ```
 //! use airshare::prelude::*;
@@ -146,15 +146,15 @@ pub use airshare_sim as sim;
 pub mod prelude {
     pub use airshare_broadcast::{
         AirIndex, AirIndexBackend, BuildParams, OnAirClient, OutageSchedule, Poi, PoiCategory,
-        PoiId, PoiTable, RtreeAirIndex, Schedule,
+        PoiId, PoiTable, QueryScratch, RtreeAirIndex, Schedule,
     };
     pub use airshare_cache::{
         CacheContext, EntryArena, EntryId, EntryView, HostCache, HostCacheRef, QuarantineConfig,
         QuarantineLedger, RegionEntry, ReplacementPolicy,
     };
     pub use airshare_core::{
-        nnv, sbnn, sbnn_rec, sbwq, sbwq_rec, HeapState, MergedRegion, NnCandidate, ResolvedBy,
-        ResultHeap, SbnnConfig, SbnnOutcome, SbnnResult, SbwqConfig, SbwqOutcome, SbwqResult,
+        nnv, sbnn, sbwq, HeapState, MergedRegion, NnCandidate, ResolvedBy, ResultHeap, SbnnConfig,
+        SbnnOutcome, SbnnResult, SbwqConfig, SbwqOutcome, SbwqResult,
     };
     pub use airshare_exec::{ExecPool, Parallelism};
     pub use airshare_geom::{Point, Rect, RectUnion};
@@ -165,7 +165,7 @@ pub mod prelude {
         LatencySummary, MetricsRecorder, MetricsSnapshot, NoopRecorder, PercentileSummary,
         Recorder, ShareStats, TraceEvent,
     };
-    pub use airshare_p2p::{gather_peer_data, NeighborGrid, PeerReply};
+    pub use airshare_p2p::{gather_peer_data, NeighborGrid, PeerReply, ShareRequest};
     pub use airshare_rtree::RTree;
     pub use airshare_serve::{
         Pacing, QueryRequest, ServeConfig, ServeError, Service, ServiceHandle, ServiceReport,

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""API lint: public functions must not re-grow owned `Vec<Poi>` signatures.
+"""API lint: public functions must not re-grow owned `Vec<Poi>` signatures
+or `_rec` twins.
 
 The fleet-scale refactor (DESIGN.md §15) moved POI payloads into the
 canonical `PoiTable` and made handles (`PoiId`) the currency of every
@@ -13,9 +14,14 @@ exception, reserved for the sanctioned payload boundaries:
 
 Everything else must speak handles. This script scans every `pub fn`
 signature in the library sources and fails if `Vec<Poi>` appears in one
-that is neither `#[deprecated]` (the migration shims) nor on the
-explicit allowlist below. Adding a new owned-POI public API therefore
-requires touching this file — which is the point.
+that is not on the explicit allowlist below. Adding a new owned-POI
+public API therefore requires touching this file — which is the point.
+
+Every operation also has exactly one entry point: a traced variant of a
+query-path API is the API itself, taking a `&mut dyn Recorder` (callers
+that do not trace pass `NoopRecorder`). The script therefore fails on
+any `pub fn` whose name ends in `_rec`, so plain/traced twins cannot
+grow back.
 
 Usage: python3 tools/check_api_lint.py  (run from the repo root)
 """
@@ -30,7 +36,6 @@ ALLOWED = {
     "crates/broadcast/src/index.rs::try_build",
     "crates/broadcast/src/wire.rs::decode_bucket",
     "crates/broadcast/src/client.rs::retrieve",
-    "crates/broadcast/src/client.rs::retrieve_rec",
     # Explicit export/resolve bridges (handle -> payload, by request).
     "crates/broadcast/src/table.rs::to_vec",
     "crates/cache/src/view.rs::share_snapshot",
@@ -46,11 +51,10 @@ SRC_GLOBS = ["src/**/*.rs", "crates/*/src/**/*.rs"]
 
 
 def signatures(text):
-    """Yields (line_no, fn_name, signature, deprecated) for each pub fn.
+    """Yields (line_no, fn_name, signature) for each pub fn.
 
     A signature runs from its `pub fn` line to the first `{` or `;` at
-    paren depth zero; `deprecated` is True when the contiguous
-    attribute/doc block directly above contains `#[deprecated`.
+    paren depth zero.
     """
     lines = text.splitlines()
     for i, line in enumerate(lines):
@@ -68,31 +72,21 @@ def signatures(text):
             j += 1
         flat = " ".join(s.strip() for s in sig)
         m = FN_NAME.search(flat)
-        if not m:
-            continue
-        deprecated = False
-        k = i - 1
-        while k >= 0:
-            above = lines[k].strip()
-            if above.startswith(("#[", "#!", "///", "//!")) or (
-                above and not above.endswith(("{", "}", ";"))
-            ):
-                if "#[deprecated" in above:
-                    deprecated = True
-                k -= 1
-            else:
-                break
-        yield i + 1, m.group(1), flat, deprecated
+        if m:
+            yield i + 1, m.group(1), flat
 
 
 def main():
     root = Path(__file__).resolve().parent.parent
     violations = []
+    twins = []
     seen_allowed = set()
     for glob in SRC_GLOBS:
         for path in sorted(root.glob(glob)):
             rel = path.relative_to(root).as_posix()
-            for line_no, name, sig, deprecated in signatures(path.read_text()):
+            for line_no, name, sig in signatures(path.read_text()):
+                if name.endswith("_rec"):
+                    twins.append(f"{rel}:{line_no}: pub fn {name}")
                 if "Vec<Poi>" not in sig.replace(" ", "").replace(
                     "Vec < Poi >", "Vec<Poi>"
                 ):
@@ -100,7 +94,7 @@ def main():
                 key = f"{rel}::{name}"
                 if key in ALLOWED:
                     seen_allowed.add(key)
-                elif not deprecated:
+                else:
                     violations.append(f"{rel}:{line_no}: pub fn {name}: {sig}")
     stale = ALLOWED - seen_allowed
     if stale:
@@ -115,9 +109,13 @@ def main():
             "\nNew public APIs must speak PoiId handles against the canonical\n"
             "PoiTable (DESIGN.md §15). If this boundary genuinely transfers\n"
             "payloads, add it to ALLOWED in tools/check_api_lint.py with a\n"
-            "justifying comment; migration shims must be #[deprecated]."
+            "justifying comment."
         )
-    if stale or violations:
+    if twins:
+        print("public `_rec` twins (take a `&mut dyn Recorder` on the one API instead):")
+        for t in twins:
+            print(f"  {t}")
+    if stale or violations or twins:
         return 1
     print(f"api lint ok: {len(seen_allowed)} sanctioned owned-POI boundaries")
     return 0
