@@ -31,6 +31,13 @@ pub enum ServeError {
     /// [`crate::QueryTag`]; a scaled-time service stamps its own and
     /// rejects tagged submissions.
     TagMismatch,
+    /// The request can never be answered: a non-finite position or
+    /// heading, a kNN query for zero neighbors, or a window that is not
+    /// a finite, non-inverted rectangle.
+    InvalidRequest {
+        /// What is wrong with the request.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -50,6 +57,7 @@ impl std::fmt::Display for ServeError {
             ServeError::TagMismatch => {
                 write!(f, "submission tag does not match the service's pacing mode")
             }
+            ServeError::InvalidRequest { reason } => write!(f, "invalid request: {reason}"),
         }
     }
 }

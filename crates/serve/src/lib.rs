@@ -20,9 +20,10 @@
 //!   through the full service stack, and every answer (POI ids +
 //!   `AnswerQuality`) must equal the simulator's oracle-checked one.
 //!
-//! The parity argument is structural: the service's `LiveWorld` is
-//! built by the same seeded constructor and resolves queries through
-//! the same code path as the simulator, so lockstep replay — same
+//! The parity argument is structural: the simulator is itself a
+//! closed-loop client of `LiveWorld`, so the service's world is built
+//! by the same seeded constructor and crosses the same epoch barrier,
+//! and lockstep replay — same
 //! inputs, same barrier order, same nonces — must produce bit-identical
 //! answers *and* a field-for-field identical `SimReport`. See
 //! DESIGN.md §14.

@@ -209,6 +209,8 @@ impl ServiceHandle {
     }
 
     /// Reports a host's position (used for the barrier's neighbor grid).
+    /// A non-finite position is refused with
+    /// [`ServeError::InvalidRequest`].
     pub fn update_position(
         &self,
         host: usize,
@@ -217,19 +219,24 @@ impl ServiceHandle {
     ) -> Result<(), ServeError> {
         self.check_open()?;
         self.check_host(host)?;
+        check_position(pos)?;
         self.push_cmd(barrier, Command::UpdatePosition { host, pos });
         Ok(())
     }
 
     /// Submits a query. On admission returns the channel the answer
     /// will arrive on; bounces with [`ServeError::QueueFull`] +
-    /// retry-after when the bounded queue is full (backpressure).
+    /// retry-after when the bounded queue is full (backpressure). A
+    /// request that can never be answered (see
+    /// [`ServeError::InvalidRequest`]) is refused before it reaches the
+    /// queue.
     pub fn submit(
         &self,
         req: QueryRequest,
     ) -> Result<mpsc::Receiver<QueryAnswer>, ServeError> {
         self.check_open()?;
         self.check_host(req.host)?;
+        check_query(&req)?;
         if !self.shared.sessions.lock().unwrap()[req.host] {
             return Err(ServeError::UnknownSession { host: req.host });
         }
@@ -266,6 +273,35 @@ impl ServiceHandle {
     /// releasing those barriers. Monotonic; later fences only extend it.
     pub fn fence(&self, epoch: u64) {
         self.shared.fence.fetch_max(epoch + 1, Ordering::Release);
+    }
+}
+
+/// Refuses a position no neighbor grid or distance can use.
+fn check_position(pos: Point) -> Result<(), ServeError> {
+    if pos.is_finite() {
+        Ok(())
+    } else {
+        Err(ServeError::InvalidRequest {
+            reason: "position is not finite",
+        })
+    }
+}
+
+/// Refuses a query the resolution path cannot answer: the checks run
+/// on the client's thread, so a malformed request never reaches the
+/// scheduler.
+fn check_query(req: &QueryRequest) -> Result<(), ServeError> {
+    check_position(req.pos)?;
+    let invalid = |reason| Err(ServeError::InvalidRequest { reason });
+    if req.heading.is_some_and(|(x, y)| !(x.is_finite() && y.is_finite())) {
+        return invalid("heading is not finite");
+    }
+    match req.spec {
+        QuerySpec::Knn { k: 0 } => invalid("kNN query asks for zero neighbors"),
+        QuerySpec::Window { rect } if !rect.is_well_formed() => {
+            invalid("window is not a finite, non-inverted rectangle")
+        }
+        _ => Ok(()),
     }
 }
 

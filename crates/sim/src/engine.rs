@@ -9,20 +9,25 @@
 //! per-query outcomes are folded into the report in global event order —
 //! so [`Simulation::run_parallel`] is **bit-identical** to the sequential
 //! [`Simulation::run`] for every thread count.
+//!
+//! The barrier itself is [`LiveWorld`]'s: the simulator is a closed-loop
+//! client of the same world the live service serves, posing the queries
+//! its mobility streams and churn plan produce.
 
 use crate::fleet::FleetStore;
+use crate::live::{LiveQuery, LiveWorld};
 use crate::traffic::{EpochRecord, RecordedQuery, TrafficTrace};
-use crate::{BackendKind, ConfigError, MobilityModel, QueryKind, SimConfig, SimReport};
+use crate::{ConfigError, MobilityModel, QueryKind, SimConfig, SimReport};
 use airshare_broadcast::{
-    wire, AirIndex, AirIndexBackend, BuildParams, ChannelFaults, OnAirClient, OutageSchedule, Poi,
-    PoiCategory, PoiId, PoiTable, QueryScratch, RtreeAirIndex, Schedule,
+    AirIndexBackend, ChannelFaults, OnAirClient, OutageSchedule, Poi, PoiCategory, PoiId,
+    PoiTable, QueryScratch, Schedule,
 };
-use airshare_cache::{CacheContext, HostCache, QuarantineConfig, QuarantineLedger};
+use airshare_cache::{CacheContext, HostCache, QuarantineLedger};
 use airshare_core::{
     sbnn, sbwq, MergedRegion, ResolvedBy, SbnnConfig, SbnnOutcome, SbwqConfig, SbwqOutcome,
 };
 use airshare_exec::{split_seed, ExecPool};
-use airshare_geom::{meters_to_miles, Point, Rect};
+use airshare_geom::{Point, Rect};
 use airshare_mobility::{
     GridRoadWaypoint, Mobility, MobilityConfig, QueryEvent, QueryScheduler, RandomWaypoint,
 };
@@ -34,7 +39,6 @@ use airshare_p2p::{gather_peer_data, NeighborGrid, ShareFaults, ShareRequest};
 use airshare_rtree::RTree;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// The single POI category the paper's experiments use (gas stations).
@@ -53,9 +57,6 @@ const RESTART_KEY_SALT: u64 = 0x9E57_A27A_0000_0002;
 
 /// Seed domain for late-joiner admission epochs.
 const JOIN_SEED_SALT: u64 = 0x10A7_5EED_0000_0003;
-
-/// Seed domain for per-host quarantine backoff jitter.
-const QUARANTINE_SEED_SALT: u64 = 0x0A42_A7F1_5EED_0005;
 
 /// A host's relationship to the broadcast channel.
 #[derive(Clone, Copy, Debug)]
@@ -106,9 +107,6 @@ enum HostMobility {
     /// stream is pure pointer-chasing overhead.
     Waypoint(RandomWaypoint),
     Roads(Box<GridRoadWaypoint>),
-    /// Placeholder left behind while the host's state is moved into an
-    /// epoch task; restored at the barrier, never observed in between.
-    Vacant,
 }
 
 impl Mobility for HostMobility {
@@ -116,14 +114,12 @@ impl Mobility for HostMobility {
         match self {
             HostMobility::Waypoint(m) => m.position_at(t),
             HostMobility::Roads(m) => m.position_at(t),
-            HostMobility::Vacant => unreachable!("host state vacated into an epoch task"),
         }
     }
     fn velocity_at(&mut self, t: f64) -> (f64, f64) {
         match self {
             HostMobility::Waypoint(m) => m.velocity_at(t),
             HostMobility::Roads(m) => m.velocity_at(t),
-            HostMobility::Vacant => unreachable!("host state vacated into an epoch task"),
         }
     }
 }
@@ -161,47 +157,73 @@ pub(crate) struct QueryOutcome {
     mismatch: bool,
 }
 
-/// One host's slice of an epoch: its mutable state moved out of the
-/// simulation, plus its time-ordered events.
-struct HostTask {
-    host: usize,
-    mobility: HostMobility,
-    cache: HostCache,
-    rng: SmallRng,
-    sync: SyncState,
-    quarantine: QuarantineLedger,
-    /// `(global event index, query time)`, time-ordered.
-    events: Vec<(u64, f64)>,
+impl QueryOutcome {
+    /// A query resolved through the normal path; the validation and
+    /// baseline fields start empty.
+    fn new(
+        share: ShareStats,
+        quality: AnswerQuality,
+        resolution: Resolution,
+        air: Option<AccessStats>,
+    ) -> Self {
+        QueryOutcome {
+            share,
+            quality,
+            stale_age_min: 0.0,
+            bound_violation: false,
+            resolution,
+            air,
+            baseline: None,
+            filter_saved: 0,
+            window_coverage: None,
+            calibration: None,
+            mismatch: false,
+        }
+    }
+
+    /// A query answered at minute `t` through an outage, from merged
+    /// peer/cache knowledge alone: stale by the time since the host's
+    /// last channel access. An empty (`Failed`) answer counts against
+    /// the channel that could not serve it.
+    fn outage(
+        share: ShareStats,
+        quality: AnswerQuality,
+        t: f64,
+        sync: &SyncState,
+        bound_violation: bool,
+    ) -> Self {
+        let resolution = if quality == AnswerQuality::Failed {
+            Resolution::Broadcast
+        } else {
+            Resolution::Peers
+        };
+        QueryOutcome {
+            stale_age_min: (t - sync.last_sync_min).max(0.0),
+            bound_violation,
+            ..QueryOutcome::new(share, quality, resolution, None)
+        }
+    }
 }
 
-/// One host's mutable state, borrowed for a single query. Position,
-/// heading, and the query spec are inputs to `process_query` instead —
-/// the closed loop derives them from mobility + the window stream, the
-/// live service takes them straight off the wire.
-pub(crate) struct QueryHostState<'a> {
-    host: usize,
-    cache: &'a mut HostCache,
-    sync: &'a mut SyncState,
-    quarantine: &'a mut QuarantineLedger,
-    resyncs: &'a mut u64,
+/// One host's slice of an epoch batch: its session state moved out of
+/// the world, its queries in admission (nonce) order, and — once
+/// [`EpochCtx::run_host`] hands it back — what those queries produced.
+pub(crate) struct HostTask {
+    pub(crate) host: usize,
+    pub(crate) cache: HostCache,
+    pub(crate) sync: SyncState,
+    pub(crate) quarantine: QuarantineLedger,
+    pub(crate) queries: Vec<LiveQuery>,
+    /// Resync transitions the queries performed (warm-up included).
+    pub(crate) resyncs: u64,
+    /// Measured queries' report contributions, keyed by nonce.
+    pub(crate) outcomes: Vec<(u64, QueryOutcome)>,
+    /// Every query's answer, in run order.
+    pub(crate) answers: Vec<QueryAnswer>,
 }
 
-struct HostDone {
-    host: usize,
-    mobility: HostMobility,
-    cache: HostCache,
-    sync: SyncState,
-    quarantine: QuarantineLedger,
-    /// Resync transitions this shard performed (warm-up included).
-    resyncs: u64,
-    outcomes: Vec<(u64, QueryOutcome)>,
-    /// Every query's inputs and answer, when the run records a trace.
-    recorded: Vec<RecordedQuery>,
-}
-
-/// The immutable world every worker shares within one epoch. Shared by
-/// the closed-loop engine and the serving layer's `LiveWorld`, which is
-/// what makes replay parity a structural property rather than a test.
+/// The immutable world every worker shares within one epoch, lent out
+/// by [`LiveWorld::execute_epoch`].
 pub(crate) struct EpochCtx<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) world: &'a Rect,
@@ -221,63 +243,22 @@ pub(crate) struct EpochCtx<'a> {
     pub(crate) outage: &'a OutageSchedule,
 }
 
-/// One query handed to the engine by the serving layer: inputs only,
-/// everything the closed loop would have derived from mobility.
-pub(crate) struct LiveBatchItem {
-    pub(crate) nonce: u64,
-    pub(crate) at_min: f64,
-    pub(crate) pos: Point,
-    pub(crate) heading: Option<(f64, f64)>,
-    pub(crate) spec: QuerySpec,
-}
-
-/// One host's slice of a service epoch batch.
-pub(crate) struct LiveTask {
-    pub(crate) host: usize,
-    pub(crate) cache: HostCache,
-    pub(crate) sync: SyncState,
-    pub(crate) quarantine: QuarantineLedger,
-    /// Nonce-ordered queries for this host.
-    pub(crate) queries: Vec<LiveBatchItem>,
-}
-
-/// A [`LiveTask`]'s committed result.
-pub(crate) struct LiveDone {
-    pub(crate) host: usize,
-    pub(crate) cache: HostCache,
-    pub(crate) sync: SyncState,
-    pub(crate) quarantine: QuarantineLedger,
-    pub(crate) resyncs: u64,
-    pub(crate) outcomes: Vec<(u64, QueryOutcome)>,
-    pub(crate) answers: Vec<QueryAnswer>,
-}
-
 /// One full system: base station, channel, fleet, caches.
+///
+/// The base station and every host's session state live in a
+/// [`LiveWorld`]; the simulation is its closed-loop client and owns
+/// only what a real fleet brings to the air: mobility, the churn plan,
+/// and the phase timers.
 pub struct Simulation {
-    cfg: SimConfig,
-    world: Rect,
-    /// The canonical POI table: the one copy of every POI payload.
-    /// Caches, peer replies, and the index all refer into it by handle.
-    table: PoiTable,
-    /// The broadcast organization, behind the backend trait: the
-    /// `BackendKind` knob picks the concrete index at build time.
-    index: Box<dyn AirIndexBackend>,
-    schedule: Schedule,
-    oracle: RTree<u32>,
+    /// The world, driven through the live service's own barrier.
+    live: LiveWorld,
+    /// Per-host mobility streams.
     hosts: Vec<HostMobility>,
-    /// Columnar per-host mutable state (online flags, positions, sync
-    /// scalars, caches, quarantine ledgers).
-    fleet: FleetStore,
-    /// Deterministic fault decision source; `None` when the fault config
-    /// is inert, so the ideal-channel path pays nothing.
-    faults: Option<ChannelFaults>,
     /// Precomputed churn transitions `(epoch, host, comes_online)`,
     /// sorted by `(epoch, host)`; a pure function of the master seed.
     churn_plan: Vec<(u64, usize, bool)>,
     /// First `churn_plan` entry not yet applied.
     churn_cursor: usize,
-    /// Base-station silence windows over epoch numbers.
-    outage: OutageSchedule,
     /// Wall-clock phase breakdown of the most recent run (advance /
     /// grid / query / snapshot). Measurement only — never part of the
     /// simulation's output.
@@ -292,8 +273,9 @@ impl Simulation {
     /// bad knob surfaces as a typed [`ConfigError`] instead of a panic
     /// deep inside a substrate crate.
     pub fn try_new(cfg: SimConfig) -> Result<Self, ConfigError> {
-        let mut core = build_world_core(&cfg)?;
-        let mut mobility_cfg = MobilityConfig::vehicular(core.world);
+        let mut live = LiveWorld::try_new(cfg)?;
+        let cfg = live.config();
+        let mut mobility_cfg = MobilityConfig::vehicular(*live.world());
         mobility_cfg.speed_min *= cfg.params.speed_scale;
         mobility_cfg.speed_max *= cfg.params.speed_scale;
         // Every stream is seeded per host, independent of construction
@@ -315,44 +297,38 @@ impl Simulation {
                     }
                 }
             });
-        let (online, churn_plan) = plan_churn(&cfg);
-        core.fleet.online = online;
+        let (online, churn_plan) = plan_churn(cfg);
+        for (host, _) in online.iter().enumerate().filter(|(_, &up)| up) {
+            live.connect(host);
+        }
         Ok(Self {
-            cfg,
-            world: core.world,
-            table: core.table,
-            index: core.index,
-            schedule: core.schedule,
-            oracle: core.oracle,
+            live,
             hosts,
-            fleet: core.fleet,
-            faults: core.faults,
             churn_plan,
             churn_cursor: 0,
-            outage: core.outage,
             phases: PhaseTimes::default(),
         })
     }
 
     /// The configuration.
     pub fn config(&self) -> &SimConfig {
-        &self.cfg
+        self.live.config()
     }
 
     /// The global POI set (for external validation).
     pub fn pois(&self) -> &[Poi] {
-        self.table.as_slice()
+        self.live.poi_table().as_slice()
     }
 
     /// The canonical POI table every cached or peer-shared handle
     /// resolves against.
     pub fn poi_table(&self) -> &PoiTable {
-        &self.table
+        self.live.poi_table()
     }
 
     /// Read-only view of the fleet's columnar state.
     pub fn fleet(&self) -> &FleetStore {
-        &self.fleet
+        self.live.fleet()
     }
 
     /// Wall-clock breakdown of the most recent run's epoch loop
@@ -391,6 +367,7 @@ impl Simulation {
             &ExecPool::sequential(),
             &mut [(rec, QueryScratch::new())],
             None,
+            &mut |_| {},
         )
     }
 
@@ -403,19 +380,17 @@ impl Simulation {
     /// service, asserting answer-set parity.
     pub fn run_recording(&mut self) -> (SimReport, TrafficTrace) {
         let mut trace = TrafficTrace {
-            seed: self.cfg.seed,
-            hosts: self.cfg.params.mh_number,
-            epoch_min: self.cfg.epoch_min,
+            seed: self.config().seed,
+            hosts: self.config().params.mh_number,
+            epoch_min: self.config().epoch_min,
             ..TrafficTrace::default()
         };
         let report = self.run_engine(
             &ExecPool::sequential(),
             &mut [(NoopRecorder, QueryScratch::new())],
             Some(&mut trace),
+            &mut |_| {},
         );
-        // Per-epoch recording appends in host-id order; replay wants
-        // global (nonce) order, which is also time order.
-        trace.queries.sort_by_key(|q| q.nonce);
         (report, trace)
     }
 
@@ -432,7 +407,7 @@ impl Simulation {
         let mut ctxs: Vec<_> = (0..pool.threads())
             .map(|_| (NoopRecorder, QueryScratch::new()))
             .collect();
-        self.run_engine(pool, &mut ctxs, None)
+        self.run_engine(pool, &mut ctxs, None, &mut |_| {})
     }
 
     /// [`Simulation::run_parallel`] with per-worker [`MetricsRecorder`]s:
@@ -443,7 +418,7 @@ impl Simulation {
         let mut ctxs: Vec<_> = (0..pool.threads())
             .map(|_| (MetricsRecorder::new(), QueryScratch::new()))
             .collect();
-        let mut report = self.run_engine(pool, &mut ctxs, None);
+        let mut report = self.run_engine(pool, &mut ctxs, None, &mut |_| {});
         let mut merged = MetricsRecorder::new();
         for (rec, _) in &ctxs {
             merged.merge(rec);
@@ -454,54 +429,47 @@ impl Simulation {
         report
     }
 
-    /// The epoch loop shared by every public entry point.
+    /// The epoch loop shared by every public entry point: the closed
+    /// loop around [`LiveWorld`]'s barrier. Per epoch it
     ///
-    /// Per epoch: rebuild the neighbor grid at the epoch boundary,
-    /// snapshot the committed caches, move each active host's state into
-    /// its shard task, execute the shards on `pool` (inline for a
-    /// single-worker pool), then commit state back in host-id order and
-    /// fold outcomes in global event order.
+    /// 1. applies the churn due at this boundary through
+    ///    [`LiveWorld::reconnect`] / [`LiveWorld::disconnect`];
+    /// 2. steps every host's mobility to the boundary, writing straight
+    ///    into the world's position column;
+    /// 3. commits the boundary ([`LiveWorld::begin_epoch`]: grid rebuild
+    ///    and peer-snapshot refresh), then hands the world to
+    ///    `on_boundary` (a read-only check hook; the public entry points
+    ///    pass a no-op);
+    /// 4. derives each online host's queries (position, heading, and the
+    ///    window from its `(host, epoch)` stream) in host order, then
+    ///    time order;
+    /// 5. executes them as one [`LiveWorld::execute_epoch`] batch on
+    ///    `pool`, keeping the answers only when recording a `trace`.
     ///
     /// Each worker owns one `(recorder, scratch)` context, hoisted out of
     /// the epoch loop: the scratch buffers reach their high-water marks
     /// during warm-up and every later index-path query runs without heap
-    /// allocation. Churn events go to the first context's recorder. With
-    /// a `trace`, the full workload is recorded into it.
-    fn run_engine<R: Recorder + Send>(
+    /// allocation. Churn events go to the first context's recorder.
+    pub(crate) fn run_engine<R: Recorder + Send>(
         &mut self,
         pool: &ExecPool,
         ctxs: &mut [(R, QueryScratch)],
         mut trace: Option<&mut TrafficTrace>,
+        on_boundary: &mut dyn FnMut(&LiveWorld),
     ) -> SimReport {
-        let cfg = self.cfg.clone();
-        let range = meters_to_miles(cfg.params.tx_range_m);
-        let cell = range.max(1e-3);
+        let cfg = self.config();
         let epoch_len = cfg.epoch_min;
-
+        let horizon = cfg.total_min();
         let mut scheduler =
             QueryScheduler::new(cfg.params.query_rate, cfg.params.mh_number, cfg.seed ^ 0xA5);
-        let horizon = cfg.total_min();
 
         if let Some(trace) = &mut trace {
             // Pristine churn-plan state: who is on the air before the
             // first epoch's transitions apply.
-            trace.initial_online = self.fleet.online.clone();
+            trace.initial_online = self.fleet().online().to_vec();
         }
 
-        let mut report = SimReport::default();
         let mut phases = PhaseTimes::default();
-        // The neighbor grid is *retained* across epochs: laid out over
-        // the world's extent once, then rebuilt in place at each
-        // boundary by a counting sort over its retained buffers. No
-        // per-epoch position clone, no allocation once warm.
-        let mut grid = NeighborGrid::with_bounds(&self.world, cell, cfg.params.mh_number);
-        // The committed cache state peers observe, maintained
-        // *incrementally*: cloned whole once, then only hosts whose
-        // cache changed (a commit or a crash wipe) are re-cloned at the
-        // next boundary. `HostCache::clone_from` reuses the snapshot's
-        // buffers, so a warm steady state refreshes without allocating.
-        let mut snapshot: Vec<HostCache> = self.fleet.caches.clone();
-        let mut dirty: Vec<usize> = Vec::new();
         // Events are pulled from the scheduler one epoch at a time into
         // a reused buffer — memory stays O(hosts + live epoch) instead
         // of materializing the whole run's event list. The draw sequence
@@ -525,79 +493,45 @@ impl Simulation {
             }
 
             // Churn transitions due at or before this epoch's boundary
-            // (epochs without events are caught up lazily). This serial
-            // pass records events and counters in plan order —
-            // identically at every thread count, so trace logs stay
-            // byte-identical — and *collects* the per-host state
-            // mutations for the chunked fleet-advance pass below.
+            // (epochs without events are caught up lazily), in plan
+            // order — identically at every thread count, so trace logs
+            // stay byte-identical. A restart is pinned to its *planned*
+            // epoch, not the barrier epoch.
             let t_phase = Instant::now();
-            let mut epoch_churn: Vec<(u32, u64, bool)> = Vec::new();
-            let mut transitions: Vec<(usize, u64, bool)> = Vec::new();
+            let due = self.churn_cursor;
             while self.churn_cursor < self.churn_plan.len()
                 && self.churn_plan[self.churn_cursor].0 <= epoch
             {
                 let (e, h, up) = self.churn_plan[self.churn_cursor];
                 self.churn_cursor += 1;
-                transitions.push((h, e, up));
-                let event = if up {
-                    report.hosts_restarted += 1;
-                    TraceEvent::HostRestarted {
-                        host: h as u32,
-                        epoch: e,
-                    }
+                if up {
+                    self.live.reconnect(h, e, &mut ctxs[0].0);
                 } else {
-                    // Crash wipes all volatile state; the peer-visible
-                    // snapshot must reflect the wipe this epoch.
-                    dirty.push(h);
-                    report.hosts_crashed += 1;
-                    TraceEvent::HostCrashed {
-                        host: h as u32,
-                        epoch: e,
-                    }
-                };
-                // The trace keeps the *planned* epoch `e`, not the
-                // barrier epoch: a restart's sync clock is pinned to when
-                // the host actually came online.
-                epoch_churn.push((h as u32, e, up));
-                if let Some((rec, _)) = ctxs.first_mut() {
-                    rec.record(event);
+                    self.live.disconnect(h, e, &mut ctxs[0].0);
                 }
             }
-
-            // Grid positions at the epoch boundary; clamped to the first
-            // event so host clocks never run backwards on the boundary's
-            // floating-point edge. The stable host sort keeps each
-            // host's transitions in plan (epoch) order, so the chunked
-            // pass lands on the same final state the in-order walk did.
+            // Boundary positions; clamped to the first event so host
+            // clocks never run backwards on the boundary's
+            // floating-point edge.
             let t_build = (epoch as f64 * epoch_len).min(epoch_events[0].time);
-            transitions.sort_by_key(|&(h, _, _)| h);
-            advance_fleet(
-                &mut self.hosts,
-                &mut self.fleet,
-                &transitions,
-                t_build,
-                epoch_len,
-                pool,
-            );
+            advance_fleet(&mut self.hosts, self.live.positions_mut(), t_build, pool);
             phases.advance_ns += t_phase.elapsed().as_nanos() as u64;
             if let Some(trace) = &mut trace {
+                let positions = self.live.fleet().positions();
                 // Position deltas against the previous recorded epoch:
                 // the first record carries every host, later ones only
                 // hosts whose position actually changed (a paused
                 // waypoint host costs nothing).
                 let moved: Vec<(u32, Point)> = match &mut last_rec_positions {
                     None => {
-                        last_rec_positions = Some(self.fleet.positions.clone());
-                        self.fleet
-                            .positions
+                        last_rec_positions = Some(positions.to_vec());
+                        positions
                             .iter()
                             .enumerate()
                             .map(|(h, &p)| (h as u32, p))
                             .collect()
                     }
-                    Some(prev) => self
-                        .fleet
-                        .positions
+                    Some(prev) => positions
                         .iter()
                         .zip(prev.iter_mut())
                         .enumerate()
@@ -612,295 +546,156 @@ impl Simulation {
                 trace.epochs.push(EpochRecord {
                     epoch,
                     moved,
-                    online: self.fleet.online.clone(),
-                    churn: std::mem::take(&mut epoch_churn),
+                    online: self.fleet().online().to_vec(),
+                    churn: self.churn_plan[due..self.churn_cursor]
+                        .iter()
+                        .map(|&(e, h, up)| (h as u32, e, up))
+                        .collect(),
                 });
             }
-            let t_phase = Instant::now();
-            grid.refresh_active(&self.fleet.positions, &self.fleet.online);
-            phases.grid_ns += t_phase.elapsed().as_nanos() as u64;
 
-            // Refresh the peer-visible snapshot: only hosts dirtied
-            // since the last boundary (commits and crash wipes). A
-            // host's *own* inserts stay visible to itself immediately;
-            // everyone else sees them from the next epoch on.
-            let t_phase = Instant::now();
-            dirty.sort_unstable();
-            dirty.dedup();
-            for &h in &dirty {
-                snapshot[h].clone_from(&self.fleet.caches[h]);
-            }
-            dirty.clear();
-            phases.snapshot_ns += t_phase.elapsed().as_nanos() as u64;
+            self.live.begin_epoch(epoch);
+            let (grid_ns, snapshot_ns) = self.live.boundary_ns();
+            phases.grid_ns += grid_ns;
+            phases.snapshot_ns += snapshot_ns;
+            on_boundary(&self.live);
 
-            // Shard by host: all of one host's events stay on one worker,
-            // in time order. BTreeMap gives host-id task order. Offline
-            // hosts pose no queries — their events vanish, but the
-            // global index numbering `(i + k)` is untouched, so the
+            // Offline hosts pose no queries — their events vanish, but
+            // the global index numbering `(i + k)` is untouched, so the
             // fold order of surviving outcomes is churn-independent.
             let t_phase = Instant::now();
-            let mut by_host: BTreeMap<usize, Vec<(u64, f64)>> = BTreeMap::new();
-            for (k, ev) in epoch_events.iter().enumerate() {
-                if !self.fleet.online[ev.host] {
-                    continue;
-                }
-                by_host
-                    .entry(ev.host)
-                    .or_default()
-                    .push((next_index + k as u64, ev.time));
-            }
-            let tasks: Vec<HostTask> = by_host
-                .into_iter()
-                .map(|(host, evs)| HostTask {
-                    host,
-                    mobility: std::mem::replace(&mut self.hosts[host], HostMobility::Vacant),
-                    cache: std::mem::replace(
-                        &mut self.fleet.caches[host],
-                        HostCache::new(0, cfg.policy),
-                    ),
-                    rng: SmallRng::seed_from_u64(split_seed(
-                        cfg.seed ^ WINDOW_SEED_SALT,
-                        host as u64,
+            let queries = self.epoch_queries(epoch, &epoch_events, next_index);
+            let asked = trace.is_some().then(|| queries.clone());
+            let answers = self.live.execute_epoch(queries, pool, ctxs);
+            if let (Some(trace), Some(mut asked)) = (&mut trace, asked) {
+                let warmup_min = self.config().warmup_min;
+                asked.sort_by_key(|q| q.nonce);
+                trace
+                    .queries
+                    .extend(asked.into_iter().zip(answers).map(|(q, a)| RecordedQuery {
+                        nonce: q.nonce,
+                        host: q.host as u32,
+                        at_min: q.at_min,
                         epoch,
-                    )),
-                    sync: self.fleet.sync_state(host),
-                    quarantine: std::mem::replace(
-                        &mut self.fleet.quarantines[host],
-                        QuarantineLedger::new(QuarantineConfig::default(), 0),
-                    ),
-                    events: evs,
-                })
-                .collect();
-
-            let ctx = EpochCtx {
-                cfg: &cfg,
-                world: &self.world,
-                table: &self.table,
-                index: self.index.as_ref(),
-                schedule: &self.schedule,
-                oracle: &self.oracle,
-                faults: self.faults.as_ref(),
-                grid: &grid,
-                snapshot: &snapshot,
-                range,
-                epoch,
-                outage: &self.outage,
-            };
-            let recording = trace.is_some();
-            let done: Vec<HostDone> = pool.map_with(ctxs, tasks, |(rec, scratch), _, task| {
-                ctx.run_host(task, scratch, rec, recording)
-            });
-
-            // Barrier: commit host state in host-id order (`map` returns
-            // results in task order), then fold outcomes in global event
-            // order so every accumulation is scheduling-independent.
-            let mut outcomes: Vec<(u64, QueryOutcome)> = Vec::new();
-            for d in done {
-                self.hosts[d.host] = d.mobility;
-                self.fleet.caches[d.host] = d.cache;
-                self.fleet.set_sync_state(d.host, d.sync);
-                self.fleet.quarantines[d.host] = d.quarantine;
-                dirty.push(d.host);
-                report.outage_resyncs += d.resyncs;
-                outcomes.extend(d.outcomes);
-                if let Some(trace) = &mut trace {
-                    trace.queries.extend(d.recorded);
-                }
-            }
-            outcomes.sort_by_key(|&(idx, _)| idx);
-            for (_, o) in outcomes {
-                fold_outcome(&mut report, cfg.calibration_cap, o);
+                        pos: q.pos,
+                        heading: q.heading,
+                        spec: q.spec,
+                        ids: a.ids,
+                        quality: a.quality,
+                        measured: q.at_min >= warmup_min,
+                    }));
             }
             phases.query_ns += t_phase.elapsed().as_nanos() as u64;
             next_index += epoch_events.len() as u64;
         }
         self.phases = phases;
-        report
+        self.live.take_report()
+    }
+
+    /// Poses one epoch's events as the fleet would: for each online host
+    /// (host order), its events in time order, each with the position
+    /// and heading its mobility stream reports at query time and — for
+    /// window runs — a window drawn from its `(host, epoch)` stream.
+    /// The events' global indices (`first_nonce + k`) are the nonces.
+    fn epoch_queries(
+        &mut self,
+        epoch: u64,
+        events: &[QueryEvent],
+        first_nonce: u64,
+    ) -> Vec<LiveQuery> {
+        let mut posed: Vec<(usize, u64, f64)> = events
+            .iter()
+            .zip(first_nonce..)
+            .filter(|(ev, _)| self.live.is_online(ev.host))
+            .map(|(ev, nonce)| (ev.host, nonce, ev.time))
+            .collect();
+        posed.sort_unstable_by_key(|&(host, nonce, _)| (host, nonce));
+        let cfg = self.live.config();
+        let world = self.live.world();
+        let mut stream: Option<(usize, SmallRng)> = None;
+        posed
+            .into_iter()
+            .map(|(host, nonce, t)| {
+                let m = &mut self.hosts[host];
+                let pos = m.position_at(t);
+                let heading = m.heading_at(t);
+                let spec = match cfg.query_kind {
+                    QueryKind::Knn => QuerySpec::Knn {
+                        k: cfg.params.knn_k,
+                    },
+                    QueryKind::Window => {
+                        if stream.as_ref().map(|(h, _)| *h) != Some(host) {
+                            let seed =
+                                split_seed(cfg.seed ^ WINDOW_SEED_SALT, host as u64, epoch);
+                            stream = Some((host, SmallRng::seed_from_u64(seed)));
+                        }
+                        let (_, rng) = stream.as_mut().expect("seeded above");
+                        QuerySpec::Window {
+                            rect: sample_window(cfg, world, pos, rng),
+                        }
+                    }
+                };
+                LiveQuery {
+                    nonce,
+                    host,
+                    at_min: t,
+                    pos,
+                    heading,
+                    spec,
+                }
+            })
+            .collect()
     }
 }
 
 impl EpochCtx<'_> {
-    /// Runs one host's epoch shard: its events in time order, against
-    /// the shared epoch snapshot, with all mutations host-local.
-    ///
-    /// Each event's query inputs (position, heading, window sample) are
-    /// derived here from the host's mobility and window streams, then
-    /// handed to the stream-free [`EpochCtx::process_query`]. When
-    /// `record` is set, every query's inputs and answer are captured as a
-    /// [`RecordedQuery`] for service replay.
-    fn run_host(
+    /// Runs one host's epoch shard: its queries in admission order,
+    /// against the shared epoch snapshot, with all mutations host-local.
+    /// Every query gets an answer; measured ones also an outcome.
+    pub(crate) fn run_host(
         &self,
-        task: HostTask,
+        mut task: HostTask,
         scratch: &mut QueryScratch,
         rec: &mut dyn Recorder,
-        record: bool,
-    ) -> HostDone {
-        let HostTask {
-            host,
-            mut mobility,
-            mut cache,
-            mut rng,
-            mut sync,
-            mut quarantine,
-            events,
-        } = task;
-        let mut outcomes = Vec::new();
-        let mut recorded = Vec::new();
-        let mut resyncs = 0u64;
-        for (idx, t) in events {
-            let qpos = mobility.position_at(t);
-            let heading = mobility.heading_at(t);
-            // The per-(host, epoch) stream's only consumer is window
-            // sampling, so drawing here (instead of mid-query) leaves
-            // the draw sequence untouched.
-            let spec = match self.cfg.query_kind {
-                QueryKind::Knn => QuerySpec::Knn {
-                    k: self.cfg.params.knn_k,
-                },
-                QueryKind::Window => QuerySpec::Window {
-                    rect: self.sample_window(qpos, &mut rng),
-                },
-            };
-            let mut q = QueryHostState {
-                host,
-                cache: &mut cache,
-                sync: &mut sync,
-                quarantine: &mut quarantine,
-                resyncs: &mut resyncs,
-            };
-            let mut answer = record.then(|| QueryAnswer {
-                nonce: idx,
-                host: host as u32,
-                ids: Vec::new(),
-                quality: AnswerQuality::Failed,
-            });
-            let out = self.process_query(
-                idx,
-                t,
-                qpos,
-                heading,
-                &spec,
-                &mut q,
-                scratch,
-                rec,
-                answer.as_mut(),
-            );
-            if let Some(ans) = answer {
-                recorded.push(RecordedQuery {
-                    nonce: idx,
-                    host: host as u32,
-                    at_min: t,
-                    epoch: self.epoch,
-                    pos: qpos,
-                    heading,
-                    spec,
-                    ids: ans.ids,
-                    quality: ans.quality,
-                    measured: t >= self.cfg.warmup_min,
-                });
-            }
-            if let Some(o) = out {
-                outcomes.push((idx, o));
-            }
-        }
-        HostDone {
-            host,
-            mobility,
-            cache,
-            sync,
-            quarantine,
-            resyncs,
-            outcomes,
-            recorded,
-        }
-    }
-
-    /// Runs one host's slice of a *service* epoch batch: the same
-    /// resolution path as [`EpochCtx::run_host`], but with every query's
-    /// inputs supplied by the client instead of derived from mobility,
-    /// and with an answer produced for every query.
-    pub(crate) fn run_live_host(
-        &self,
-        task: LiveTask,
-        scratch: &mut QueryScratch,
-        rec: &mut dyn Recorder,
-    ) -> LiveDone {
-        let LiveTask {
-            host,
-            mut cache,
-            mut sync,
-            mut quarantine,
-            queries,
-        } = task;
-        let mut outcomes = Vec::new();
-        let mut answers = Vec::with_capacity(queries.len());
-        let mut resyncs = 0u64;
-        for item in queries {
-            let mut q = QueryHostState {
-                host,
-                cache: &mut cache,
-                sync: &mut sync,
-                quarantine: &mut quarantine,
-                resyncs: &mut resyncs,
-            };
+    ) -> HostTask {
+        let queries = std::mem::take(&mut task.queries);
+        task.answers.reserve(queries.len());
+        for q in &queries {
             let mut answer = QueryAnswer {
-                nonce: item.nonce,
-                host: host as u32,
+                nonce: q.nonce,
+                host: q.host as u32,
                 ids: Vec::new(),
                 quality: AnswerQuality::Failed,
             };
-            let out = self.process_query(
-                item.nonce,
-                item.at_min,
-                item.pos,
-                item.heading,
-                &item.spec,
-                &mut q,
-                scratch,
-                rec,
-                Some(&mut answer),
-            );
-            if let Some(o) = out {
-                outcomes.push((item.nonce, o));
+            if let Some(o) = self.process_query(q, &mut task, scratch, rec, &mut answer) {
+                task.outcomes.push((q.nonce, o));
             }
-            answers.push(answer);
+            task.answers.push(answer);
         }
-        LiveDone {
-            host,
-            cache,
-            sync,
-            quarantine,
-            resyncs,
-            outcomes,
-            answers,
-        }
+        task
     }
 
-    /// Resolves one query. Returns its contribution to the report, or
-    /// `None` during warm-up (cache effects still apply).
+    /// Resolves one query for the host whose session state `task` holds.
+    /// Returns its contribution to the report, or `None` during warm-up
+    /// (cache effects still apply).
     ///
     /// The query's inputs — position, heading, and the fully-sampled
     /// [`QuerySpec`] — are supplied by the caller (derived from mobility
     /// in the simulator, client-submitted in the serving layer), so this
-    /// path is identical for both. When `answer` is set, the answer's
-    /// POI ids and [`AnswerQuality`] are always filled in, warm-up or
-    /// not: the service answers every query, while the report only
-    /// counts measured ones.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn process_query(
+    /// path is identical for both. The answer's POI ids and
+    /// [`AnswerQuality`] are always filled in, warm-up or not: the
+    /// service answers every query, while the report only counts
+    /// measured ones.
+    fn process_query(
         &self,
-        nonce: u64,
-        t: f64,
-        qpos: Point,
-        heading: Option<(f64, f64)>,
-        spec: &QuerySpec,
-        q: &mut QueryHostState<'_>,
+        query: &LiveQuery,
+        task: &mut HostTask,
         scratch: &mut QueryScratch,
         rec: &mut dyn Recorder,
-        mut answer: Option<&mut QueryAnswer>,
+        answer: &mut QueryAnswer,
     ) -> Option<QueryOutcome> {
         let cfg = self.cfg;
-        let host = q.host;
+        let (t, qpos, nonce) = (query.at_min, query.pos, query.nonce);
         let measuring = t >= cfg.warmup_min;
         let tune_in = (t * cfg.ticks_per_min as f64) as u64;
         rec.begin_query(nonce, tune_in);
@@ -929,10 +724,10 @@ impl EpochCtx<'_> {
                 malform_prob: cfg.faults.peer_malform_prob,
                 nonce,
             },
-            guard: Some((&mut *q.quarantine, self.epoch)),
+            guard: Some((&mut task.quarantine, self.epoch)),
         };
         let (replies, share) = gather_peer_data(
-            host,
+            task.host,
             qpos,
             CAT,
             self.grid,
@@ -943,7 +738,7 @@ impl EpochCtx<'_> {
         );
         if cfg.use_own_cache {
             // Own reads are live — a host always trusts its freshest self.
-            let own_regions = q.cache.region_count(CAT);
+            let own_regions = task.cache.region_count(CAT);
             if own_regions > 0 {
                 rec.record(TraceEvent::CacheHit {
                     regions: own_regions as u32,
@@ -955,7 +750,7 @@ impl EpochCtx<'_> {
         // table, never materialized as owned POI vectors.
         let own = cfg
             .use_own_cache
-            .then(|| q.cache.share_regions(CAT))
+            .then(|| task.cache.share_regions(CAT))
             .into_iter()
             .flatten();
         let mvr = MergedRegion::from_id_regions(
@@ -972,14 +767,14 @@ impl EpochCtx<'_> {
         };
         let ctx = CacheContext {
             pos: qpos,
-            heading,
+            heading: query.heading,
             now: t,
         };
 
-        match spec {
+        match query.spec {
             QuerySpec::Knn { k } => {
                 let sbnn_cfg = SbnnConfig {
-                    k: *k,
+                    k,
                     accept_approx: cfg.accept_approx,
                     min_correctness: cfg.min_correctness,
                     lambda: cfg.params.poi_density(),
@@ -994,22 +789,24 @@ impl EpochCtx<'_> {
                         // Outage: no channel fallback. Serve whatever the
                         // merged peer/cache knowledge held, tagged Stale
                         // (or Failed when it held nothing).
-                        q.sync.needs_resync = true;
-                        q.cache.touch(CAT, &Rect::centered_square(qpos, self.range), t);
+                        task.sync.needs_resync = true;
+                        task.cache
+                            .touch(CAT, &Rect::centered_square(qpos, self.range), t);
                         let entries = heap.entries();
                         let quality = if entries.is_empty() {
                             AnswerQuality::Failed
                         } else {
                             AnswerQuality::Stale
                         };
-                        if let Some(a) = answer.as_deref_mut() {
-                            a.ids = entries.iter().map(|c| c.poi.id).collect();
-                            a.quality = quality;
-                        }
-                        if !measuring {
+                        if !deliver(
+                            answer,
+                            entries.iter().map(|c| c.poi.id).collect(),
+                            quality,
+                            measuring,
+                            rec,
+                        ) {
                             return None;
                         }
-                        rec.record(TraceEvent::QueryQuality { quality });
                         let mut violation = false;
                         if cfg.validate && !entries.is_empty() {
                             // Chaos-oracle bound: a best-effort candidate
@@ -1027,28 +824,14 @@ impl EpochCtx<'_> {
                                 "stale kNN answer beat ground truth at t={t}"
                             );
                         }
-                        return Some(QueryOutcome {
-                            share,
-                            quality,
-                            stale_age_min: (t - q.sync.last_sync_min).max(0.0),
-                            bound_violation: violation,
-                            resolution: if quality == AnswerQuality::Failed {
-                                Resolution::Broadcast
-                            } else {
-                                Resolution::Peers
-                            },
-                            air: None,
-                            baseline: None,
-                            filter_saved: 0,
-                            window_coverage: None,
-                            calibration: None,
-                            mismatch: false,
-                        });
+                        return Some(QueryOutcome::outage(
+                            share, quality, t, &task.sync, violation,
+                        ));
                     }
                 };
                 let degraded = res.air.is_some_and(|a| a.is_degraded());
                 if res.air.is_some() {
-                    self.note_sync(q, t, rec);
+                    self.note_sync(task, t, rec);
                 }
 
                 // A degraded retrieval may be missing POIs; adopting its
@@ -1057,41 +840,33 @@ impl EpochCtx<'_> {
                 if !degraded {
                     if let Some((vr, pois)) = &res.adoptable {
                         let ids: Vec<PoiId> = pois.iter().map(Poi::handle).collect();
-                        q.cache.insert_ids(self.table, CAT, *vr, &ids, t, &ctx, rec);
+                        task.cache
+                            .insert_ids(self.table, CAT, *vr, &ids, t, &ctx, rec);
                     }
                 }
-                q.cache.touch(CAT, &Rect::centered_square(qpos, self.range), t);
+                task.cache
+                    .touch(CAT, &Rect::centered_square(qpos, self.range), t);
 
                 let quality = if degraded {
                     AnswerQuality::Degraded
                 } else {
                     AnswerQuality::Exact
                 };
-                if let Some(a) = answer.as_deref_mut() {
-                    a.ids = res.neighbors.iter().map(|n| n.poi.id).collect();
-                    a.quality = quality;
-                }
-                if !measuring {
+                if !deliver(
+                    answer,
+                    res.neighbors.iter().map(|n| n.poi.id).collect(),
+                    quality,
+                    measuring,
+                    rec,
+                ) {
                     return None;
                 }
-                rec.record(TraceEvent::QueryQuality { quality });
-                let mut out = QueryOutcome {
-                    share,
-                    quality,
-                    stale_age_min: 0.0,
-                    bound_violation: false,
-                    resolution: match res.resolved_by {
-                        ResolvedBy::PeersVerified => Resolution::Peers,
-                        ResolvedBy::PeersApproximate => Resolution::Approx,
-                        ResolvedBy::Broadcast => Resolution::Broadcast,
-                    },
-                    air: res.air,
-                    baseline: None,
-                    filter_saved: 0,
-                    window_coverage: None,
-                    calibration: None,
-                    mismatch: false,
+                let resolution = match res.resolved_by {
+                    ResolvedBy::PeersVerified => Resolution::Peers,
+                    ResolvedBy::PeersApproximate => Resolution::Approx,
+                    ResolvedBy::Broadcast => Resolution::Broadcast,
                 };
+                let mut out = QueryOutcome::new(share, quality, resolution, res.air);
                 // What the pure on-air algorithm would have paid (not
                 // defined during an outage — the baseline host faces
                 // the same silent channel).
@@ -1145,8 +920,7 @@ impl EpochCtx<'_> {
                 }
                 Some(out)
             }
-            QuerySpec::Window { rect } => {
-                let w = *rect;
+            QuerySpec::Window { rect: w } => {
                 let sbwq_cfg = SbwqConfig {
                     use_window_reduction: cfg.use_window_reduction,
                 };
@@ -1157,8 +931,8 @@ impl EpochCtx<'_> {
                         // Outage: answer from the covered sub-windows only.
                         // The answer is a *subset* of the truth; its
                         // quality depends on how much area peers covered.
-                        q.sync.needs_resync = true;
-                        q.cache.touch(CAT, &w, t);
+                        task.sync.needs_resync = true;
+                        task.cache.touch(CAT, &w, t);
                         let wa = w.area();
                         let coverage = if wa > 0.0 {
                             let miss: f64 = missing.iter().map(Rect::area).sum();
@@ -1171,25 +945,20 @@ impl EpochCtx<'_> {
                         } else {
                             AnswerQuality::Failed
                         };
-                        if let Some(a) = answer.as_deref_mut() {
-                            a.ids = partial.iter().map(|p| p.id).collect();
-                            a.quality = quality;
-                        }
-                        if !measuring {
+                        if !deliver(
+                            answer,
+                            partial.iter().map(|p| p.id).collect(),
+                            quality,
+                            measuring,
+                            rec,
+                        ) {
                             return None;
                         }
-                        rec.record(TraceEvent::QueryQuality { quality });
                         let mut violation = false;
                         if cfg.validate && !partial.is_empty() {
                             // Chaos-oracle bound: a partial window answer
                             // must be a subset of the ground truth.
-                            let mut want: Vec<u32> = self
-                                .oracle
-                                .window(&w)
-                                .into_iter()
-                                .map(|(_, &id)| id)
-                                .collect();
-                            want.sort_unstable();
+                            let want = self.window_truth(&w);
                             violation = partial
                                 .iter()
                                 .any(|p| want.binary_search(&p.id).is_err());
@@ -1198,28 +967,14 @@ impl EpochCtx<'_> {
                                 "partial window answer left ground truth at t={t}"
                             );
                         }
-                        return Some(QueryOutcome {
-                            share,
-                            quality,
-                            stale_age_min: (t - q.sync.last_sync_min).max(0.0),
-                            bound_violation: violation,
-                            resolution: if quality == AnswerQuality::Failed {
-                                Resolution::Broadcast
-                            } else {
-                                Resolution::Peers
-                            },
-                            air: None,
-                            baseline: None,
-                            filter_saved: 0,
-                            window_coverage: None,
-                            calibration: None,
-                            mismatch: false,
-                        });
+                        return Some(QueryOutcome::outage(
+                            share, quality, t, &task.sync, violation,
+                        ));
                     }
                 };
                 let degraded = res.air.is_some_and(|a| a.is_degraded());
                 if res.air.is_some() {
-                    self.note_sync(q, t, rec);
+                    self.note_sync(task, t, rec);
                 }
 
                 // A resolved window is fully known: cache it — unless
@@ -1227,54 +982,39 @@ impl EpochCtx<'_> {
                 // missing POIs and must not become a verified region.
                 if !degraded {
                     let ids: Vec<PoiId> = res.pois.iter().map(Poi::handle).collect();
-                    q.cache.insert_ids(self.table, CAT, w, &ids, t, &ctx, rec);
+                    task.cache
+                        .insert_ids(self.table, CAT, w, &ids, t, &ctx, rec);
                 }
-                q.cache.touch(CAT, &w, t);
+                task.cache.touch(CAT, &w, t);
 
                 let quality = if degraded {
                     AnswerQuality::Degraded
                 } else {
                     AnswerQuality::Exact
                 };
-                if let Some(a) = answer {
-                    a.ids = res.pois.iter().map(|p| p.id).collect();
-                    a.quality = quality;
-                }
-                if !measuring {
+                if !deliver(
+                    answer,
+                    res.pois.iter().map(|p| p.id).collect(),
+                    quality,
+                    measuring,
+                    rec,
+                ) {
                     return None;
                 }
-                rec.record(TraceEvent::QueryQuality { quality });
                 let (resolution, window_coverage) = match res.resolved_by {
                     ResolvedBy::PeersVerified => (Resolution::Peers, None),
                     _ => (Resolution::Broadcast, Some(res.coverage)),
                 };
-                let baseline = (!silent).then(|| {
+                let mut out = QueryOutcome::new(share, quality, resolution, res.air);
+                out.window_coverage = window_coverage;
+                out.baseline = (!silent).then(|| {
                     let base = client.window(tune_in, &w, scratch, &mut NoopRecorder);
                     (base.stats.latency, base.stats.tuning)
                 });
-                let mut out = QueryOutcome {
-                    share,
-                    quality,
-                    stale_age_min: 0.0,
-                    bound_violation: false,
-                    resolution,
-                    air: res.air,
-                    baseline,
-                    filter_saved: 0,
-                    window_coverage,
-                    calibration: None,
-                    mismatch: false,
-                };
                 if cfg.validate {
                     let mut got: Vec<u32> = res.pois.iter().map(|p| p.id).collect();
                     got.sort_unstable();
-                    let mut want: Vec<u32> = self
-                        .oracle
-                        .window(&w)
-                        .into_iter()
-                        .map(|(_, &id)| id)
-                        .collect();
-                    want.sort_unstable();
+                    let want = self.window_truth(&w);
                     if !degraded {
                         out.mismatch = got != want;
                     } else {
@@ -1293,159 +1033,105 @@ impl EpochCtx<'_> {
         }
     }
 
+    /// Ground truth for a window: the ids inside it, sorted.
+    fn window_truth(&self, w: &Rect) -> Vec<u32> {
+        let mut want: Vec<u32> = self
+            .oracle
+            .window(w)
+            .into_iter()
+            .map(|(_, &id)| id)
+            .collect();
+        want.sort_unstable();
+        want
+    }
+
     /// Marks a successful channel access: refreshes the host's sync
     /// clock and, if it was answering through an outage or restart,
     /// records the resynchronization.
-    fn note_sync(&self, q: &mut QueryHostState<'_>, t: f64, rec: &mut dyn Recorder) {
-        q.sync.last_sync_min = t;
-        if q.sync.needs_resync {
-            q.sync.needs_resync = false;
-            *q.resyncs += 1;
+    fn note_sync(&self, task: &mut HostTask, t: f64, rec: &mut dyn Recorder) {
+        task.sync.last_sync_min = t;
+        if task.sync.needs_resync {
+            task.sync.needs_resync = false;
+            task.resyncs += 1;
             rec.record(TraceEvent::Resynced {
-                host: q.host as u32,
+                host: task.host as u32,
             });
         }
     }
+}
 
-    /// Samples a query window per Table 4: mean area = `window_pct` % of
-    /// the search space; centre at a normally-distributed distance from
-    /// the host in a uniform direction, clamped into the world. Draws
-    /// come from the caller's `(host, epoch)` stream.
-    fn sample_window(&self, qpos: Point, rng: &mut SmallRng) -> Rect {
-        let p = &self.cfg.params;
-        let side = (p.window_pct / 100.0).sqrt() * p.world_mi;
-        let dist = sample_normal(rng, p.distance_mi, p.distance_mi / 3.0).abs();
-        let theta = rng.gen_range(0.0..std::f64::consts::TAU);
-        let center = self.world.clamp_point(Point::new(
-            qpos.x + dist * theta.cos(),
-            qpos.y + dist * theta.sin(),
-        ));
-        let half = side / 2.0;
-        let w = Rect::centered_square(center, half);
-        w.intersection(self.world).unwrap_or(w)
+/// The tail every resolution path shares: hands the client its answer
+/// and, for a measured query, traces its quality grade. Returns
+/// `measuring` — `false` means the query landed in warm-up and
+/// contributes nothing to the report.
+fn deliver(
+    answer: &mut QueryAnswer,
+    ids: Vec<u32>,
+    quality: AnswerQuality,
+    measuring: bool,
+    rec: &mut dyn Recorder,
+) -> bool {
+    answer.ids = ids;
+    answer.quality = quality;
+    if measuring {
+        rec.record(TraceEvent::QueryQuality { quality });
     }
+    measuring
 }
 
-/// One contiguous host range of the fleet's columns, plus the churn
-/// transitions that fall inside it — the unit of work for the parallel
-/// fleet-advance pass.
-struct AdvanceChunk<'a> {
-    /// First host id in the chunk (columns below are `start`-offset).
-    start: usize,
-    mobility: &'a mut [HostMobility],
-    online: &'a mut [bool],
-    last_sync_min: &'a mut [f64],
-    needs_resync: &'a mut [bool],
-    caches: &'a mut [HostCache],
-    quarantines: &'a mut [QuarantineLedger],
-    positions: &'a mut [Point],
-    /// `(host, planned_epoch, comes_online)`, sorted by host with each
-    /// host's transitions in plan (epoch) order.
-    transitions: &'a [(usize, u64, bool)],
+/// Samples a query window per Table 4: mean area = `window_pct` % of
+/// the search space; centre at a normally-distributed distance from
+/// the host in a uniform direction, clamped into the world. Draws come
+/// from the caller's `(host, epoch)` stream.
+fn sample_window(cfg: &SimConfig, world: &Rect, qpos: Point, rng: &mut SmallRng) -> Rect {
+    let p = &cfg.params;
+    let side = (p.window_pct / 100.0).sqrt() * p.world_mi;
+    let dist = sample_normal(rng, p.distance_mi, p.distance_mi / 3.0).abs();
+    let theta = rng.gen_range(0.0..std::f64::consts::TAU);
+    let center = world.clamp_point(Point::new(
+        qpos.x + dist * theta.cos(),
+        qpos.y + dist * theta.sin(),
+    ));
+    let half = side / 2.0;
+    let w = Rect::centered_square(center, half);
+    w.intersection(world).unwrap_or(w)
 }
 
-/// Applies one epoch boundary to the whole fleet: the collected churn
-/// transitions (state mutations only — events and counters were already
-/// recorded serially, in plan order, by the caller) and the mobility
-/// advance to `t_build`. Positions are advanced for *every* host —
+/// Steps every host's mobility to `t_build`, writing the boundary
+/// positions into the world's position column. *Every* host moves —
 /// offline ones included — so mobility streams stay aligned across
 /// churn configurations; offline hosts are merely undiscoverable.
 ///
-/// Hosts are mutually independent here: every mutation touches only
-/// host-indexed state, and each host's own transitions arrive in epoch
-/// order. The work is therefore chunked over contiguous host ranges and
-/// fanned out on `pool` — chunk scheduling cannot affect the result,
-/// which is bit-identical to the sequential column walk for any
-/// chunking and any thread count.
+/// Hosts are mutually independent here, so the work is chunked over
+/// contiguous host ranges and fanned out on `pool` — chunk scheduling
+/// cannot affect the result, which is bit-identical to the sequential
+/// walk for any chunking and any thread count.
 fn advance_fleet(
     hosts: &mut [HostMobility],
-    fleet: &mut FleetStore,
-    transitions: &[(usize, u64, bool)],
+    positions: &mut [Point],
     t_build: f64,
-    epoch_len: f64,
     pool: &ExecPool,
 ) {
-    let n = hosts.len();
-    let apply = |c: &mut AdvanceChunk<'_>| {
-        for &(h, e, up) in c.transitions {
-            let i = h - c.start;
-            if up {
-                // Came online cold: nothing cached, channel unheard.
-                c.online[i] = true;
-                c.last_sync_min[i] = e as f64 * epoch_len;
-                c.needs_resync[i] = true;
-            } else {
-                // Crash wipes all volatile state (the caller already
-                // marked the host dirty for the snapshot refresh).
-                c.online[i] = false;
-                c.caches[i].clear();
-                c.quarantines[i].clear();
-            }
-        }
-        for (i, m) in c.mobility.iter_mut().enumerate() {
-            c.positions[i] = m.position_at(t_build);
+    let step = |(hosts, positions): (&mut [HostMobility], &mut [Point])| {
+        for (m, p) in hosts.iter_mut().zip(positions) {
+            *p = m.position_at(t_build);
         }
     };
-
+    let n = hosts.len();
     let threads = pool.threads();
     if threads <= 1 || n < 4096 {
-        apply(&mut AdvanceChunk {
-            start: 0,
-            mobility: hosts,
-            online: &mut fleet.online,
-            last_sync_min: &mut fleet.last_sync_min,
-            needs_resync: &mut fleet.needs_resync,
-            caches: &mut fleet.caches,
-            quarantines: &mut fleet.quarantines,
-            positions: &mut fleet.positions,
-            transitions,
-        });
+        step((hosts, positions));
         return;
     }
-
     // Oversplit ~4× past the worker count so stealing can level uneven
     // chunks (waypoint hosts mid-pause advance much faster than ones
     // mid-leg).
     let chunk_len = n.div_ceil(threads * 4).max(1024);
-    let mut chunks: Vec<AdvanceChunk<'_>> = Vec::with_capacity(n.div_ceil(chunk_len));
-    let mut rest = (
-        hosts,
-        fleet.online.as_mut_slice(),
-        fleet.last_sync_min.as_mut_slice(),
-        fleet.needs_resync.as_mut_slice(),
-        fleet.caches.as_mut_slice(),
-        fleet.quarantines.as_mut_slice(),
-        fleet.positions.as_mut_slice(),
-    );
-    let mut tr = transitions;
-    let mut start = 0usize;
-    while start < n {
-        let len = chunk_len.min(n - start);
-        let (mob, mob_rest) = rest.0.split_at_mut(len);
-        let (onl, onl_rest) = rest.1.split_at_mut(len);
-        let (lsm, lsm_rest) = rest.2.split_at_mut(len);
-        let (nrs, nrs_rest) = rest.3.split_at_mut(len);
-        let (cch, cch_rest) = rest.4.split_at_mut(len);
-        let (qua, qua_rest) = rest.5.split_at_mut(len);
-        let (pos, pos_rest) = rest.6.split_at_mut(len);
-        let cut = tr.partition_point(|&(h, _, _)| h < start + len);
-        let (mine, later) = tr.split_at(cut);
-        tr = later;
-        chunks.push(AdvanceChunk {
-            start,
-            mobility: mob,
-            online: onl,
-            last_sync_min: lsm,
-            needs_resync: nrs,
-            caches: cch,
-            quarantines: qua,
-            positions: pos,
-            transitions: mine,
-        });
-        rest = (mob_rest, onl_rest, lsm_rest, nrs_rest, cch_rest, qua_rest, pos_rest);
-        start += len;
-    }
-    pool.map(chunks, |_, mut c| apply(&mut c));
+    let chunks: Vec<_> = hosts
+        .chunks_mut(chunk_len)
+        .zip(positions.chunks_mut(chunk_len))
+        .collect();
+    pool.map(chunks, |_, c| step(c));
 }
 
 /// Order-preserving parallel initialization: `(0..n).map(f).collect()`
@@ -1453,7 +1139,11 @@ fn advance_fleet(
 /// function of the index (every per-host constructor in this crate is —
 /// seeds are split per host, never drawn from a shared stream), which
 /// makes the result independent of chunking and thread count.
-fn par_init<T: Send>(pool: &ExecPool, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+pub(crate) fn par_init<T: Send>(
+    pool: &ExecPool,
+    n: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
     if pool.threads() <= 1 || n < 4096 {
         return (0..n).map(f).collect();
     }
@@ -1466,121 +1156,6 @@ fn par_init<T: Send>(pool: &ExecPool, n: usize, f: impl Fn(usize) -> T + Sync) -
         .into_iter()
         .flatten()
         .collect()
-}
-
-/// Everything the base-station side of a run owns, minus the fleet's
-/// mobility. Built identically for the closed-loop [`Simulation`] and
-/// the serving layer's [`crate::LiveWorld`]: same POI draws, same
-/// backend build, same fault/outage/quarantine seeds — so both resolve
-/// queries over the *same* world and replay parity is structural.
-pub(crate) struct WorldCore {
-    pub(crate) world: Rect,
-    /// The canonical POI table (dense: ids are `0..poi_number`).
-    pub(crate) table: PoiTable,
-    pub(crate) index: Box<dyn AirIndexBackend>,
-    pub(crate) schedule: Schedule,
-    pub(crate) oracle: RTree<u32>,
-    pub(crate) faults: Option<ChannelFaults>,
-    pub(crate) outage: OutageSchedule,
-    /// Columnar per-host state: everyone online, at the origin, in
-    /// sync, with empty caches and pristine ledgers. Callers overwrite
-    /// the online column with their own admission policy.
-    pub(crate) fleet: FleetStore,
-}
-
-/// Builds the shared world: POIs placed uniformly at random (the
-/// paper's Poisson-field assumption), the air index behind the
-/// configured backend, the `(1, m)` schedule, the ground-truth R-tree,
-/// and per-host caches/sync/quarantine state. Validates the
-/// configuration first.
-pub(crate) fn build_world_core(cfg: &SimConfig) -> Result<WorldCore, ConfigError> {
-    cfg.check()?;
-    let side = cfg.params.world_mi;
-    let world = Rect::from_coords(0.0, 0.0, side, side);
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let table = PoiTable::from_pois((0..cfg.params.poi_number).map(|i| {
-        Poi::new(
-            i as u32,
-            Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)),
-        )
-    }));
-    let build = BuildParams {
-        world,
-        hilbert_order: cfg.hilbert_order,
-        bucket_capacity: cfg.bucket_capacity,
-    };
-    // The two big POI structures — the air index and the ground-truth
-    // R-tree — are independent reads of the finished table, so they
-    // build concurrently. Each build is a pure function of the table,
-    // so the pool affects wall time only.
-    let pool = ExecPool::from_env();
-    // cfg.check() already vetted the capacity, so a build error here
-    // is unreachable; map it anyway rather than panic.
-    let (index, oracle) = pool.join(
-        || -> Result<Box<dyn AirIndexBackend>, ConfigError> {
-            Ok(match cfg.backend {
-                BackendKind::Hilbert => Box::new(
-                    <AirIndex as AirIndexBackend>::try_build(&table, &build)
-                        .map_err(|_| ConfigError::ZeroBucketCapacity)?,
-                ),
-                BackendKind::Rtree => Box::new(
-                    <RtreeAirIndex as AirIndexBackend>::try_build(&table, &build)
-                        .map_err(|_| ConfigError::ZeroBucketCapacity)?,
-                ),
-            })
-        },
-        || RTree::bulk_load(table.iter().map(|p| (p.pos, p.id)).collect()),
-    );
-    let index = index?;
-    let schedule = Schedule::try_for_backend(index.as_ref(), cfg.index_m)
-        .map_err(|_| ConfigError::ZeroIndexReplication)?;
-    let n = cfg.params.mh_number;
-    // Per-host state is constructed in parallel chunks: caches take no
-    // seed at all, and quarantine seeds are split per host — both are
-    // pure functions of the host id, so chunking is invisible.
-    let caches = par_init(&pool, n, |_| {
-        let c = HostCache::new(cfg.params.cache_size, cfg.policy)
-            .with_subsume_overlap(cfg.subsume_overlap);
-        if cfg.max_regions == usize::MAX {
-            c
-        } else {
-            c.with_max_regions(cfg.max_regions)
-        }
-    });
-    // Fault decisions are hashed from their own seed (derived from
-    // the master seed), never drawn from an RNG stream: an inert
-    // fault config leaves every other random stream untouched.
-    let faults = (!cfg.faults.is_inert()).then(|| {
-        cfg.faults.channel_faults(
-            cfg.seed ^ 0xFA17_5EED_0000_0001,
-            wire::bucket_frame_bytes(cfg.bucket_capacity),
-        )
-    });
-    let outage = OutageSchedule::new(cfg.outages.clone());
-    let quarantines = par_init(&pool, n, |h| {
-        QuarantineLedger::new(
-            QuarantineConfig::default(),
-            split_seed(cfg.seed ^ QUARANTINE_SEED_SALT, h as u64, 0),
-        )
-    });
-    let fleet = FleetStore {
-        online: vec![true; n],
-        positions: vec![Point::new(0.0, 0.0); n],
-        last_sync_min: vec![0.0; n],
-        needs_resync: vec![false; n],
-        caches,
-        quarantines,
-    };
-    Ok(WorldCore {
-        world,
-        table,
-        index,
-        schedule,
-        oracle,
-        faults,
-        outage,
-        fleet,
-    })
 }
 
 /// Precomputes the churn schedule: each host's initial online flag and

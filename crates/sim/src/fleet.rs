@@ -6,15 +6,16 @@
 //! as its own flat column — instead of an array of per-host structs —
 //! means a sweep reads exactly the bytes it needs and nothing else.
 //!
-//! [`FleetStore`] is that storage. The engine and the live world both
-//! own one, built by the same `build_world_core`, so the closed-loop
-//! simulator and `airshare-serve` ride the same arenas. The scalar
+//! [`FleetStore`] is that storage. [`crate::LiveWorld`] owns the one
+//! instance, so the closed-loop simulator (its client) and
+//! `airshare-serve` ride the same arenas. The scalar
 //! columns (`online`, `positions`, sync state) are plain `Vec`s; the
 //! per-host caches and quarantine ledgers are arena-backed structures
 //! from `airshare-cache` (see `EntryArena`), indexed by host id.
 //!
-//! Mutation stays inside the crate (the engine's epoch barrier is the
-//! only writer); external callers get read-only column views.
+//! Mutation stays inside the crate (the world's session transitions and
+//! epoch barrier are the only writers); external callers get read-only
+//! column views.
 
 use crate::engine::SyncState;
 use airshare_cache::{HostCache, QuarantineLedger};

@@ -91,13 +91,13 @@ fn window_workload_is_thread_count_invariant() {
 
 #[test]
 fn chunked_fleet_advance_is_thread_count_invariant() {
-    // The parallel fleet-advance pass (chunked churn application +
-    // mobility stepping) only engages past its 4096-host threshold, so
-    // this config runs a fleet large enough to split into real chunks,
-    // with heavy churn so crash wipes, cold restarts, and late joins
-    // all land inside the chunked pass. The report must stay
-    // byte-identical to the sequential column walk at every thread
-    // count.
+    // The parallel fleet-advance pass (chunked mobility stepping) only
+    // engages past its 4096-host threshold, so this config runs a fleet
+    // large enough to split into real chunks. Heavy churn makes crash
+    // wipes, cold restarts, and late joins — applied serially through
+    // the world's session transitions before the chunked pass — land
+    // between chunked steps. The report must stay byte-identical to the
+    // sequential column walk at every thread count.
     let cfg = |seed| {
         let mut c = tiny(seed);
         c.params.mh_number = 6000;
@@ -113,7 +113,7 @@ fn chunked_fleet_advance_is_thread_count_invariant() {
     assert!(sequential.queries.total > 0, "nothing measured");
     assert!(
         sequential.hosts_crashed > 0 && sequential.hosts_restarted > 0,
-        "churn never fired — the chunked churn application went untested"
+        "churn never fired — crash wipes and restarts went untested"
     );
     for threads in [1usize, 2, 4, 8] {
         let parallel = Simulation::try_new(cfg(5))

@@ -130,6 +130,44 @@ fn submissions_validate_sessions_and_tags() {
         handle.submit(req(0, None)),
         Err(ServeError::TagMismatch)
     ));
+    // Requests that can never be answered are refused at the door, so
+    // they cannot take the scheduler down or come back `Exact`.
+    let invalid = |r: QueryRequest| {
+        matches!(handle.submit(r), Err(ServeError::InvalidRequest { .. }))
+    };
+    let nan = airshare_geom::Point::new(f64::NAN, 1.0);
+    let raw = |x1, y1, x2, y2| airshare_geom::Rect { x1, y1, x2, y2 };
+    assert!(invalid(QueryRequest {
+        spec: QuerySpec::Knn { k: 0 },
+        ..req(0, Some(tag))
+    }));
+    assert!(invalid(QueryRequest {
+        pos: nan,
+        ..req(0, Some(tag))
+    }));
+    assert!(invalid(QueryRequest {
+        heading: Some((f64::INFINITY, 0.0)),
+        ..req(0, Some(tag))
+    }));
+    assert!(invalid(QueryRequest {
+        spec: QuerySpec::Window {
+            rect: raw(2.0, 2.0, 1.0, 1.0)
+        },
+        ..req(0, Some(tag))
+    }));
+    assert!(invalid(QueryRequest {
+        spec: QuerySpec::Window {
+            rect: raw(f64::NAN, 0.0, 1.0, 1.0)
+        },
+        ..req(0, Some(tag))
+    }));
+    assert!(matches!(
+        handle.update_position(0, nan, None),
+        Err(ServeError::InvalidRequest { .. })
+    ));
+    assert!(ServeError::InvalidRequest { reason: "k = 0" }
+        .to_string()
+        .contains("k = 0"));
     // Tagged submission is admitted and answered after the fence.
     let rx = handle.submit(req(0, Some(tag))).unwrap();
     handle.fence(0);
